@@ -129,9 +129,9 @@ let substream_bench =
           done))
 
 (* Wound-wait tick cost: [quiet] is the lock-free pre-check every ticker
-   tick pays per shard, [decide] the full two-rule scan paid only when a
-   wound window has elapsed. Population sized like a saturated shard
-   (hundreds of blocked entries). *)
+   tick pays, [decide] the full two-rule scan paid only when a wound
+   window has elapsed. Population sized like a saturated GTM (hundreds of
+   blocked entries). *)
 let wound_waiters n =
   List.init n (fun i ->
       {
@@ -139,6 +139,7 @@ let wound_waiters n =
         w_birth = i + 1;
         w_site = i mod 8;
         w_since = float_of_int (i mod 50);
+        w_wounded = [];
       })
 
 let wound_residents n =

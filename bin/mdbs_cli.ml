@@ -616,14 +616,6 @@ let svc_flags =
     Arg.(value & opt int 4096 & info [ "cert-checkpoint" ] ~docv:"N"
            ~doc:"Events per rolling checkpoint of the live certifier.")
   in
-  let gtm_shards =
-    Arg.(value & opt int 1 & info [ "gtm-shards" ] ~docv:"N"
-           ~doc:"GTM scheduling shards: the sites are partitioned into N \
-                 contiguous groups, each scheduled by its own GTM domain \
-                 with a private engine; globals spanning shards take a \
-                 slower coordinated path (sequencer ticket + per-shard \
-                 projections). Must be between 1 and --sites.")
-  in
   let zipf =
     Arg.(value & opt float 0. & info [ "zipf" ] ~docv:"THETA"
            ~doc:"Zipfian key-selection skew within each site (0 = uniform, \
@@ -634,9 +626,7 @@ let svc_flags =
     Arg.(value & opt float 0. & info [ "locality" ] ~docv:"FRAC"
            ~doc:"Probability that a global transaction confines its site \
                  set to one of --site-groups contiguous site groups \
-                 (0 = uniform site choice). With --site-groups equal to \
-                 --gtm-shards, local globals stay on the sharded fast \
-                 path.")
+                 (0 = uniform site choice).")
   in
   let site_groups =
     Arg.(value & opt int 0 & info [ "site-groups" ] ~docv:"G"
@@ -647,8 +637,8 @@ let svc_flags =
     const
       (fun m data d_av hotspot local seed atomic capacity max_active stall
            wound tick retry_on no_retry max_attempts backoff backoff_cap
-           shed_parked shed_blocked certify cert_every gtm_shards zipf
-           locality site_groups ->
+           shed_parked shed_blocked certify cert_every zipf locality
+           site_groups ->
         ignore retry_on;
         let retry =
           (* Retries are on by default; --no-retry wins over --retry. *)
@@ -660,17 +650,17 @@ let svc_flags =
         ( m, data, d_av, hotspot, local, seed, atomic, capacity, max_active,
           stall, tick, certify, cert_every,
           (retry, wound, shed_parked, shed_blocked),
-          (gtm_shards, zipf, locality, site_groups) ))
+          (zipf, locality, site_groups) ))
     $ sites $ data $ d_av $ hotspot $ local $ seed $ atomic $ capacity
     $ max_active $ stall $ wound $ tick $ retry_on $ no_retry $ max_attempts
     $ backoff $ backoff_cap $ shed_parked $ shed_blocked $ certify
-    $ cert_every $ gtm_shards $ zipf $ locality $ site_groups)
+    $ cert_every $ zipf $ locality $ site_groups)
 
 let loadgen_config ?(telemetry = (None, None, 1000., [], None))
     ?(backend = `Mem) ?lsm_params kind
     (m, data, d_av, hotspot, local, seed, atomic, capacity, max_active, stall,
      tick, certify, cert_every, (retry, wound, shed_parked, shed_blocked),
-     (gtm_shards, zipf_theta, locality, site_groups))
+     (zipf_theta, locality, site_groups))
     clients txns obs =
   let wl =
     { Workload.default with
@@ -684,7 +674,7 @@ let loadgen_config ?(telemetry = (None, None, 1000., [], None))
     ?shed_parked ?shed_blocked ~obs ~certify
     ~cert_checkpoint_every:cert_every ?telemetry_out:t_out
     ?openmetrics_out:om_out ~telemetry_interval_ms:interval ~slos
-    ?flight_dump:flight ~gtm_shards kind
+    ?flight_dump:flight kind
 
 let loadgen_cmd =
   let doc =
@@ -702,8 +692,8 @@ let loadgen_cmd =
          certifies the captured interleaving against the paper's Theorem-2 \
          obligations (exit 1 if certification fails).";
       `P
-        "$(b,--bench-out) sweeps schemes 0..3 over site counts 2 and 4 and \
-         writes the results as a JSON benchmark baseline.";
+        "$(b,--bench-out) sweeps schemes 0..3 over site counts 2, 4 and 8 \
+         and writes the results as a JSON benchmark baseline.";
     ]
   in
   let scheme =
@@ -730,15 +720,11 @@ let loadgen_cmd =
         in
         ignore m0;
         let retry, _, _, _ = rob in
-        let _, zipf, locality, site_groups = knobs in
-        (* The grid sweeps sites 2 and 4 single-shard (the historical
-           baseline shape) plus 8 sites at 1 and 4 shards, so the sharded
-           fast path is gated against its own single-shard control. *)
         let grid =
           List.concat_map
             (fun k ->
               List.map
-                (fun (m, shards) ->
+                (fun m ->
                   (* Each grid run gets its own LSM root: reusing one would
                      recover the previous run's state. *)
                   let backend =
@@ -747,20 +733,18 @@ let loadgen_cmd =
                     | `Lsm base ->
                         `Lsm
                           (Filename.concat base
-                             (Printf.sprintf "%s-m%d-g%d" (Registry.name k)
-                                m shards))
+                             (Printf.sprintf "%s-m%d" (Registry.name k) m))
                   in
                   let cfg =
                     loadgen_config ~backend ?lsm_params k
                       (m, data, d_av, hotspot, local, seed, atomic, capacity,
                        max_active, stall, tick, certify, cert_every, rob,
-                       (shards, zipf, locality, site_groups))
+                       knobs)
                       clients txns Obs.disabled
                   in
-                  Printf.eprintf "bench: %s m=%d shards=%d...\n%!"
-                    (Registry.name k) m shards;
+                  Printf.eprintf "bench: %s m=%d...\n%!" (Registry.name k) m;
                   Loadgen.run cfg)
-                [ (2, 1); (4, 1); (8, 1); (8, 4) ])
+                [ 2; 4; 8 ])
             Registry.all
         in
         let doc =
@@ -841,7 +825,7 @@ let serve_cmd =
     let backend, lsm_params = resolve_backend backf in
     let m, data, d_av, hotspot, local, seed, atomic, capacity, max_active,
         stall, tick, certify, cert_every, (retry, wound, shed_p, shed_b),
-        (gtm_shards, zipf_theta, locality, site_groups) =
+        (zipf_theta, locality, site_groups) =
       svcf
     in
     let wl =
@@ -859,7 +843,7 @@ let serve_cmd =
            ?shed_parked:shed_p ?shed_blocked:shed_b ~obs ~certify
            ~cert_checkpoint_every:cert_every ?telemetry_out:t_out
            ?openmetrics_out:om_out ~telemetry_interval_ms:interval ~slos
-           ?flight_dump:flight ~gtm_shards kind)
+           ?flight_dump:flight kind)
     in
     export_obs obsf obs;
     let res = s.Serve.run in
@@ -1098,12 +1082,9 @@ let bench_compare_cmd =
       `S Manpage.s_description;
       `P
         "Reads two JSON baselines produced by $(b,mdbs loadgen --bench-out), \
-         matches runs by (scheme, sites, backend, gtm_shards), and reports \
-         the throughput, goodput and commit-ratio delta of every matched \
-         run. Runs are never gated across differing shard counts — a \
-         sharded run only compares against a baseline row with the same \
-         shard count (baselines written before the shard axis existed mean \
-         one shard). Exits 1 when \
+         matches runs by (scheme, sites, backend), and reports the \
+         throughput, goodput and commit-ratio delta of every matched run. \
+         Exits 1 when \
          any matched run's throughput or goodput regressed by more than \
          $(b,--threshold) percent (default 10), when its commit ratio \
          dropped by more than $(b,--max-commit-drop) percentage points \
@@ -1165,17 +1146,14 @@ let bench_compare_cmd =
       | Ok doc -> doc
       | Error msg -> fail_usage (Printf.sprintf "%s: %s" file msg)
     in
-    (* One baseline's runs as ((scheme, sites, backend, shards),
-       (throughput, goodput, commit ratio), certified). Baselines written
-       before the commit counters existed get ratio 1.0 (no gate); ones
-       without a goodput field fall back to throughput (pre-retry
-       baselines, where every settled attempt was a logical transaction);
-       ones without a backend field predate the storage axis and mean
-       "mem"; ones without a gtm_shards field predate the shard axis and
-       mean 1. Matching on backend and shard count keeps unlike runs in
-       separate columns — a persistent engine is never gated against an
-       in-memory baseline, and a sharded scheduler is never gated against
-       a single-shard one. *)
+    (* One baseline's runs as ((scheme, sites, backend), (throughput,
+       goodput, commit ratio), certified). Baselines written before the
+       commit counters existed get ratio 1.0 (no gate); ones without a
+       goodput field fall back to throughput (pre-retry baselines, where
+       every settled attempt was a logical transaction); ones without a
+       backend field predate the storage axis and mean "mem". Matching on
+       backend keeps mem and lsm runs in separate columns — a persistent
+       engine is never gated against an in-memory baseline. *)
     let runs file doc =
       match Option.bind (Json.member "runs" doc) Json.list_val with
       | None -> fail_usage (file ^ ": no \"runs\" array")
@@ -1200,12 +1178,7 @@ let bench_compare_cmd =
                   let backend =
                     Option.value ~default:"mem" (str "backend")
                   in
-                  let shards =
-                    match num "gtm_shards" with
-                    | Some s -> int_of_float s
-                    | None -> 1
-                  in
-                  ( (scheme, int_of_float sites, backend, shards),
+                  ( (scheme, int_of_float sites, backend),
                     (tput, goodput, ratio),
                     Option.value ~default:false (bool "certified") )
               | _ -> fail_usage (file ^ ": run missing scheme/sites/throughput"))
@@ -1231,14 +1204,13 @@ let bench_compare_cmd =
     let rows =
       List.filter_map
         (fun (key, (old_tput, old_good, old_ratio), _) ->
-          let scheme, sites, backend, shards = key in
+          let scheme, sites, backend = key in
           match
             List.find_opt (fun (k, _, _) -> k = key) new_runs
           with
           | None ->
               incr regressions;
               Some [ scheme; string_of_int sites; backend;
-                     string_of_int shards;
                      Printf.sprintf "%.2f" old_tput; "-"; "-"; "-"; "-";
                      "MISSING" ]
           | Some (_, (new_tput, new_good, new_ratio), certified) ->
@@ -1255,7 +1227,6 @@ let bench_compare_cmd =
                 incr regressions;
               Some
                 [ scheme; string_of_int sites; backend;
-                  string_of_int shards;
                   Printf.sprintf "%.2f" old_tput;
                   Printf.sprintf "%.2f" new_tput;
                   Printf.sprintf "%+.1f%%" delta_pct;
@@ -1271,8 +1242,8 @@ let bench_compare_cmd =
     if rows = [] then fail_usage (old_file ^ ": no runs to compare");
     Mdbs_util.Table.print
       ~headers:
-        [ "scheme"; "sites"; "backend"; "shards"; "old txn/s"; "new txn/s";
-          "delta"; "goodput"; "commit"; "verdict" ]
+        [ "scheme"; "sites"; "backend"; "old txn/s"; "new txn/s"; "delta";
+          "goodput"; "commit"; "verdict" ]
       rows;
     (* Certification failures in the new baseline fail the comparison too:
        a fast but uncertified run is not an optimization. *)

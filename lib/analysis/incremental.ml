@@ -4,7 +4,6 @@ module Iset = Mdbs_util.Iset
 
 type event =
   | Site of Types.sid * Types.protocol_kind option
-  | Shard of Types.sid * int
   | Global of Types.tid * Types.sid list
   | Op of Types.sid * Types.tid * Op.action
   | Ser of Types.tid * Types.sid
@@ -786,7 +785,6 @@ let feed t ev =
     t.n_events <- t.n_events + 1;
     (match ev with
     | Site (sid, _protocol) -> ignore (site_state t sid)
-    | Shard (_sid, _shard) -> ()
     | Global (tid, _visits) ->
         let tx = txn t tid in
         tx.tx_global <- true;

@@ -27,11 +27,6 @@ open Mdbs_model
 type event =
   | Site of Types.sid * Types.protocol_kind option
       (** Declare a site (before its first operation). *)
-  | Shard of Types.sid * int
-      (** Informational: the GTM scheduling shard that drives this site's
-          ser events (sharded runtimes tag their feed at startup). Carries
-          no certification obligation — shard-disjoint ser subsequences are
-          merged into the one per-site order checked by Theorem 2. *)
   | Global of Types.tid * Types.sid list
       (** Declare a global transaction with its site-visit order. *)
   | Op of Types.sid * Types.tid * Op.action

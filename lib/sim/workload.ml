@@ -71,9 +71,8 @@ let random_sites rng config d =
   let g = config.site_groups in
   if g > 1 && config.locality > 0.0 && Rng.float rng 1.0 < config.locality then begin
     (* Confine the footprint to one contiguous site group. Group k of g
-       covers sites [k*m/g, (k+1)*m/g) — the same floor arithmetic as
-       Shard_map, so with site_groups = gtm_shards a "local" global
-       lands inside a single scheduling shard. *)
+       covers sites [k*m/g, (k+1)*m/g), so globals of the same group
+       contend with each other and rarely with other groups. *)
     let k = Rng.int rng g in
     let base = k * config.m / g in
     let stop = (k + 1) * config.m / g in

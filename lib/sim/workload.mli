@@ -27,10 +27,9 @@ type config = {
           the rest sample sites uniformly. [0] disables. *)
   site_groups : int;
       (** Number of contiguous site groups used by [locality]; group [k]
-          of [g] covers sites [k*m/g .. (k+1)*m/g), matching
-          [Shard_map]'s partition so with [site_groups = gtm_shards] a
-          "local" global lands inside one scheduling shard. [<= 1]
-          disables locality. *)
+          of [g] covers sites [k*m/g .. (k+1)*m/g), so a "local" global
+          contends only with globals of its own group. [<= 1] disables
+          locality. *)
   durable : bool;
       (** Attach a write-ahead log to every site, enabling
           {!Mdbs_site.Local_dbms.crash}. Default [false]; fault-injecting

@@ -240,7 +240,7 @@ let rotate t =
   ignore (Unix.lseek fd 0 Unix.SEEK_END);
   t.fd <- fd;
   t.appended <- List.length kept;
-  t.synced_bytes <- Bytes.length b;
+  t.synced_bytes <- t.synced_bytes + Bytes.length b;
   t.rotations <- t.rotations + 1;
   (* Renumber the kept records to their positions in the new log. *)
   Hashtbl.reset t.live;

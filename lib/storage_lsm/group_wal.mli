@@ -50,8 +50,9 @@ val total_appended : t -> int
     {!open_} — the monotonic counter behind [wal_records_total]. *)
 
 val durable_bytes : t -> int
-(** Bytes on disk covered by an fsync — the honest durability measure, as
-    opposed to the logical record count. *)
+(** Bytes covered by an fsync over the log's life, a checkpoint's rewrite
+    included — the honest durability measure, as opposed to the logical
+    record count. Never decreases, though {!rotate} shrinks the file. *)
 
 val fsyncs : t -> int
 

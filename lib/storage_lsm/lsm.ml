@@ -151,8 +151,7 @@ let wal_append t r = Group_wal.append t.wal r
    non-empty memtable this is an early flush; with an empty one we only
    advance the manifest's mark and rewrite the log — sound because an
    empty memtable means no effect record since the last flush is
-   uncovered. The [live_count] guard skips rotations that cannot shrink
-   the log (all records belong to unresolved transactions). *)
+   uncovered. *)
 let checkpoint t =
   if Memtable.is_empty t.mem then begin
     Group_wal.sync t.wal;
@@ -161,10 +160,14 @@ let checkpoint t =
   end
   else flush t
 
+(* Trigger on the reclaimable part of the log only: a rotation keeps the
+   unresolved transactions' records, so once those alone reach the bound
+   (one long-lived transaction) a trigger on the log's length would
+   rewrite the whole log at every sync. *)
 let maybe_checkpoint t =
   if
-    Group_wal.appended t.wal >= t.params.wal_checkpoint_records
-    && Group_wal.appended t.wal > Group_wal.live_count t.wal
+    Group_wal.appended t.wal - Group_wal.live_count t.wal
+    >= t.params.wal_checkpoint_records
   then checkpoint t
 
 (* The group-commit point is also the only safe WAL-bound trigger site:

@@ -25,9 +25,9 @@ type params = {
   run_entries : int;  (** Max entries per compacted L1 run. *)
   cache_blocks : int;  (** Block cache capacity. *)
   wal_checkpoint_records : int;
-      (** Log length (records) that forces a checkpoint at the next
-          group-commit point, bounding the WAL even when the memtable
-          never crosses its watermark. *)
+      (** Reclaimable log records (those of resolved transactions) that
+          force a checkpoint at the next group-commit point, bounding the
+          WAL even when the memtable never crosses its watermark. *)
 }
 
 val default_params : params
@@ -66,11 +66,11 @@ val wal_append : t -> Group_wal.record -> unit
 
 val wal_sync : t -> unit
 (** The group-commit point: one fsync for everything appended since the
-    last one. Also the WAL-bound checkpoint trigger — if the log has
-    reached [wal_checkpoint_records] and a rewrite would shrink it, the
-    store flushes (or, with an empty memtable, just republishes the
-    manifest mark) and rotates the log. Safe here and only here: at a
-    group-commit point every appended record's effect is applied. *)
+    last one. Also the WAL-bound checkpoint trigger — if a rewrite would
+    drop at least [wal_checkpoint_records] records, the store flushes
+    (or, with an empty memtable, just republishes the manifest mark) and
+    rotates the log. Safe here and only here: at a group-commit point
+    every appended record's effect is applied. *)
 
 val durable_bytes : t -> int
 

@@ -34,7 +34,6 @@ type config = {
   telemetry_interval_ms : float;
   slos : Slo.spec list;
   flight_dump : string option;
-  gtm_shards : int;
 }
 
 let config ?(wl = Workload.default) ?(clients = 8) ?(txns_per_client = 25)
@@ -43,22 +42,18 @@ let config ?(wl = Workload.default) ?(clients = 8) ?(txns_per_client = 25)
     ?(stall_timeout_ms = 250.) ?wound_after_ms ?(tick_ms = 5.) ?shed_parked
     ?shed_blocked ?(obs = Obs.disabled) ?(certify = Runtime.Certify_batch)
     ?(cert_checkpoint_every = 4096) ?telemetry_out ?openmetrics_out
-    ?(telemetry_interval_ms = 1000.) ?(slos = []) ?flight_dump
-    ?(gtm_shards = 1) scheme =
+    ?(telemetry_interval_ms = 1000.) ?(slos = []) ?flight_dump scheme =
   if clients < 1 then invalid_arg "Loadgen.config: clients < 1";
   if txns_per_client < 1 then invalid_arg "Loadgen.config: txns_per_client < 1";
   { wl; scheme; clients; txns_per_client; local_fraction; seed; retry;
     atomic_commit; capacity; max_active; stall_timeout_ms; wound_after_ms;
     tick_ms; shed_parked; shed_blocked; obs; certify; cert_checkpoint_every;
-    telemetry_out; openmetrics_out; telemetry_interval_ms; slos; flight_dump;
-    gtm_shards }
+    telemetry_out; openmetrics_out; telemetry_interval_ms; slos; flight_dump }
 
 type report = {
   scheme_name : string;
   backend : string;
   sites : int;
-  gtm_shards : int;
-  cross_shard : int;
   clients : int;
   submitted : int;
   committed : int;
@@ -160,9 +155,7 @@ let run cfg =
          ~cert_checkpoint_every:cfg.cert_checkpoint_every
          ?telemetry_out:cfg.telemetry_out ?openmetrics_out:cfg.openmetrics_out
          ~telemetry_interval_ms:cfg.telemetry_interval_ms ~slos:cfg.slos
-         ?flight_dump:cfg.flight_dump ~gtm_shards:cfg.gtm_shards
-         ~scheme_factory:(fun () -> Registry.make cfg.scheme)
-         ~scheme:(Registry.make cfg.scheme)
+         ?flight_dump:cfg.flight_dump ~scheme:(Registry.make cfg.scheme)
          ~sites ())
   in
   let retry_of_attempt =
@@ -218,8 +211,6 @@ let run cfg =
     backend =
       (match cfg.wl.Workload.backend with `Mem -> "mem" | `Lsm _ -> "lsm");
     sites = cfg.wl.Workload.m;
-    gtm_shards = cfg.gtm_shards;
-    cross_shard = st.Runtime.cross_shard;
     clients = cfg.clients;
     submitted;
     committed;
@@ -255,8 +246,6 @@ let report_to_json ?profile r =
       ("scheme", Json.Str r.scheme_name);
       ("backend", Json.Str r.backend);
       ("sites", Json.Int r.sites);
-      ("gtm_shards", Json.Int r.gtm_shards);
-      ("cross_shard_txns", Json.Int r.cross_shard);
       ("clients", Json.Int r.clients);
       ("submitted", Json.Int r.submitted);
       ("committed", Json.Int r.committed);
@@ -317,16 +306,13 @@ let report_to_json ?profile r =
 
 let print_report ppf r =
   Format.fprintf ppf
-    "@[<v>scheme %s: %d sites / %d GTM shard%s (%d cross-shard txns), %d \
-     clients, %d txns in %.2fs@,\
+    "@[<v>scheme %s: %d sites, %d clients, %d txns in %.2fs@,\
      committed %d/%d (ratio %.3f, goodput %.1f txn/s), %d attempts \
      (%d retries, %d sheds, %.1f attempt/s)@,\
      certified %s (%d violations)@,\
      latency ms: mean %.2f  p50 %.2f  p95 %.2f  p99 %.2f  max %.2f@,\
      gtm: %d wounds, %d forced aborts, %d stall kills, %d GTM2 waits (%d ser)%a@]@."
-    r.scheme_name r.sites r.gtm_shards
-    (if r.gtm_shards = 1 then "" else "s")
-    r.cross_shard r.clients r.submitted r.elapsed_s r.committed
+    r.scheme_name r.sites r.clients r.submitted r.elapsed_s r.committed
     r.submitted r.commit_ratio r.goodput r.attempts r.retries r.sheds
     r.throughput
     (if r.certified then "yes" else "NO")

@@ -47,10 +47,6 @@ type config = {
   telemetry_interval_ms : float;
   slos : Mdbs_obs.Slo.spec list;
   flight_dump : string option;
-  gtm_shards : int;
-      (** GTM scheduling shards ({!Runtime.config}); the runtime's
-          [scheme_factory] is wired to the registry constructor for
-          [scheme], so every shard gets an independent fresh instance. *)
 }
 
 val config :
@@ -76,7 +72,6 @@ val config :
   ?telemetry_interval_ms:float ->
   ?slos:Mdbs_obs.Slo.spec list ->
   ?flight_dump:string ->
-  ?gtm_shards:int ->
   Mdbs_core.Registry.kind ->
   config
 (** Defaults: the {!Mdbs_sim.Workload.default} mix, 8 clients, 25
@@ -89,9 +84,6 @@ type report = {
   scheme_name : string;
   backend : string;  (** ["mem"] or ["lsm"] — the storage engine. *)
   sites : int;
-  gtm_shards : int;
-  cross_shard : int;
-      (** Spanning globals that took the coordinated cross-shard path. *)
   clients : int;
   submitted : int;  (** Logical transactions ([clients * txns_per_client]). *)
   committed : int;  (** Logical transactions that eventually committed. *)

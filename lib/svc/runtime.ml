@@ -20,9 +20,7 @@ type certify_mode = Certify_batch | Certify_live | Certify_soak
 
 type config = {
   scheme : Scheme.t;
-  scheme_factory : (unit -> Scheme.t) option;
   sites : Local_dbms.t list;
-  gtm_shards : int;
   atomic_commit : bool;
   capacity : int;
   max_active : int;
@@ -45,19 +43,12 @@ let config ?(atomic_commit = false) ?(capacity = 64) ?(max_active = 64)
     ?(stall_timeout_ms = 250.) ?wound_after_ms ?(tick_ms = 5.) ?shed_parked
     ?shed_blocked ?(obs = Obs.disabled) ?(certify = Certify_batch)
     ?(cert_checkpoint_every = 4096) ?telemetry_out ?openmetrics_out
-    ?(telemetry_interval_ms = 1000.) ?(slos = []) ?flight_dump
-    ?(gtm_shards = 1) ?scheme_factory ~scheme ~sites () =
+    ?(telemetry_interval_ms = 1000.) ?(slos = []) ?flight_dump ~scheme ~sites
+    () =
   if capacity < 1 then invalid_arg "Runtime.config: capacity < 1";
   if max_active < 1 then invalid_arg "Runtime.config: max_active < 1";
   if cert_checkpoint_every < 1 then
     invalid_arg "Runtime.config: cert_checkpoint_every < 1";
-  if gtm_shards < 1 then invalid_arg "Runtime.config: gtm_shards < 1";
-  if gtm_shards > List.length sites then
-    invalid_arg "Runtime.config: more GTM shards than sites";
-  if gtm_shards > 1 && scheme_factory = None then
-    invalid_arg
-      "Runtime.config: gtm_shards > 1 needs scheme_factory (one fresh \
-       scheme instance per shard)";
   let wound_after_ms =
     match wound_after_ms with
     | Some w ->
@@ -78,10 +69,10 @@ let config ?(atomic_commit = false) ?(capacity = 64) ?(max_active = 64)
   if shed_blocked < 1 then invalid_arg "Runtime.config: shed_blocked < 1";
   if telemetry_interval_ms <= 0. then
     invalid_arg "Runtime.config: telemetry_interval_ms <= 0";
-  { scheme; scheme_factory; sites; gtm_shards; atomic_commit; capacity;
-    max_active; stall_timeout_ms; wound_after_ms; tick_ms; shed_parked;
-    shed_blocked; obs; certify; cert_checkpoint_every; telemetry_out;
-    openmetrics_out; telemetry_interval_ms; slos; flight_dump }
+  { scheme; sites; atomic_commit; capacity; max_active; stall_timeout_ms;
+    wound_after_ms; tick_ms; shed_parked; shed_blocked; obs; certify;
+    cert_checkpoint_every; telemetry_out; openmetrics_out;
+    telemetry_interval_ms; slos; flight_dump }
 
 type msg =
   | Admit of { txn : Txn.t; birth : int; promise : Outcome.t Promise.t }
@@ -92,26 +83,6 @@ type msg =
       (** One coalesced wakeup's worth of worker replies, in execution
           order. *)
   | Tick
-  (* The cross-shard ("span") protocol, all posted on the urgent lane so a
-     shard domain can never block a peer. A global whose footprint spans
-     shards is decomposed: its home shard (lowest shard of the footprint)
-     coordinates; each member shard runs the full GTM1/engine machinery on
-     the projection of the transaction to its own sites. *)
-  | Span_granted of Types.gid
-      (** Sequencer → home: every lane of the span is held; decompose. *)
-  | Span_admit of { gid : Types.gid; birth : int; proj : Txn.t; home : int }
-      (** Home → member: schedule this per-shard projection (behind the
-          entry fence, see {!member_admit}). *)
-  | Span_ready of Types.gid
-      (** Member → home: the projection reached its first commit step —
-          everything before the commit point (all prepares, under 2PC)
-          acknowledged at this shard. Sent at most once per member. *)
-  | Span_go of Types.gid
-      (** Home → members: all members ready; release the commits. *)
-  | Span_done of { gid : Types.gid; shard : int; failed : string option }
-      (** Member → home: the projection finished (drained at this shard). *)
-  | Span_kill of Types.gid
-      (** Home → members: a member failed; abort your projection. *)
 
 (* What an outstanding Exec correlation id stands for. *)
 type inflight =
@@ -131,7 +102,6 @@ type stats = {
   site_crashes : int;
   active : int;
   inbox_hwm : int;
-  cross_shard : int;
   abort_causes : (string * int) list;
   ops_per_site : (Types.sid * int) list;
 }
@@ -180,19 +150,7 @@ type telem = {
   mutable tl_breach_dumped : bool;
 }
 
-(* One GTM scheduling shard: its own mailbox (admissions routed by the
-   footprint's home shard, worker replies routed by the site's owning
-   shard), its own engine behind {!Gtm_sched}, and its own one-tick-in-
-   flight budget. The shard domain is the only consumer of [sx_inbox] and
-   the only caller of [sx_sched.run_ops]. *)
-type shard_ctx = {
-  sx_id : int;
-  sx_inbox : msg Mailbox.t;
-  sx_sched : Gtm_sched.t;
-  sx_ticks : int Atomic.t;
-}
-
-(* Everything both the GTM domains and the client-facing API touch. All
+(* Everything both the GTM domain and the client-facing API touch. All
    mutable fields are atomics or internally locked objects. *)
 type shared = {
   cfg_atomic : bool;
@@ -207,9 +165,8 @@ type shared = {
      whole run — the live verdict alone carries soak certification. *)
   retain_audit : bool;
   live_cert : Live_cert.t option;
-  shards : shard_ctx array;
-  smap : Shard_map.t;
-  seq : Sequencer.t;
+  inbox : msg Mailbox.t;
+  sched : Gtm_sched.t;
   clock : Clock.t;
   obs : Obs.t;
   sink_mutex : Mutex.t;
@@ -218,6 +175,7 @@ type shared = {
   protocols : (Types.sid * Types.protocol_kind) list;
   accepting : bool Atomic.t;
   draining : bool Atomic.t;
+  pending_ticks : int Atomic.t;
   a_admitted : int Atomic.t;
   a_committed : int Atomic.t;
   a_aborted : int Atomic.t;
@@ -228,12 +186,6 @@ type shared = {
   a_stall_kills : int Atomic.t;
   a_crashes : int Atomic.t;
   a_active : int Atomic.t;
-  (* Transactions accepted but not yet settled (parked and gated ones
-     excluded until they enter an engine / included from span accept).
-     Every shard's drain loop exits only when this reaches zero, so a
-     shard never quits while a peer still owes it span traffic. *)
-  a_unfinished : int Atomic.t;
-  a_cross : int Atomic.t;  (* spanning globals accepted *)
   cause_counts : (string * int Atomic.t) list;
   m_committed : Metrics.counter;
   m_aborted : Metrics.counter;
@@ -243,12 +195,6 @@ type shared = {
   m_active_peak : Metrics.gauge;
   m_batch_peak : Metrics.gauge;
   m_response : Mdbs_util.Stats.histogram;
-  m_cross : Metrics.counter;
-  m_occupancy : Mdbs_util.Stats.histogram;
-      (* shards per accepted global: 1.0 for single-shard, else the span's
-         shard count *)
-  m_shard_entered : Metrics.counter array;  (* per shard: engine entries *)
-  m_shard_active_peak : Metrics.gauge array;
   telem : telem option;
   flight : Flight.t;
   cert_dump_fired : bool Atomic.t;
@@ -264,7 +210,7 @@ type t = {
   sh : shared;
   workers : Site_worker.t list;
   worker_tbl : (Types.sid, Site_worker.t) Hashtbl.t;
-  gtm_domains : capture Domain.t array;
+  gtm_domain : capture Domain.t;
   ticker_stop : bool Atomic.t;
   ticker : Thread.t;
   mutable shutdown_memo : result option;
@@ -284,47 +230,8 @@ type t = {
    it blocked: the stall detector ages each blocked transaction on its
    own clock instead of waiting for global quiescence. *)
 
-(* Home-side record of one spanning global, created at grant. *)
-type span = {
-  sp_txn : Txn.t;
-  sp_birth : int;
-  sp_members : int list;  (* shard ids, home included *)
-  sp_promise : Outcome.t Promise.t;
-  mutable sp_ready : int;
-  mutable sp_done : int;
-  mutable sp_fail : string option;  (* first member failure *)
-  mutable sp_killed : bool;
-  mutable sp_go_sent : bool;
-}
-
-(* Member-side record of a projection this shard schedules on behalf of a
-   span. The commit barrier lives here: the projection's first commit-
-   action dispatch is held ([mb_held_ser] for a scheme-routed commit; a
-   direct commit is simply left undispatched and re-polled) until the home
-   shard's [Span_go]. *)
-type member = {
-  mb_home : int;
-  mutable mb_commit_ok : bool;
-  mutable mb_ready_sent : bool;
-  mutable mb_held_ser : (Types.sid * Op.action) option;
-}
-
-(* A projection waiting at the entry fence: it enters the engine only when
-   every transaction that had already emitted a serialization event at
-   this shard (and was still unfinished) when [Span_admit] arrived has
-   finished — the condition DESIGN.md §17's acyclicity argument needs. *)
-type gate = {
-  gt_proj : Txn.t;
-  gt_home : int;
-  gt_birth : int;
-  gt_wait : (Types.gid, unit) Hashtbl.t;
-}
-
 type gst = {
   sh' : shared;
-  shard_id : int;
-  inbox : msg Mailbox.t;  (* own shard's; sole consumer *)
-  sched : Gtm_sched.t;  (* own shard's engine *)
   worker_of : Types.sid -> Site_worker.t;
   gtm1 : Gtm1.t;
   ser_log : Ser_schedule.t;
@@ -335,21 +242,15 @@ type gst = {
          svc_response_ms histogram at finish *)
   pending_ser : (Types.sid * Types.gid, float) Hashtbl.t;
   pending_direct : (Types.sid * Types.gid, float) Hashtbl.t;
+  wounded : (Types.gid, float * int list) Hashtbl.t;
+      (* waiter -> (the [since] of its wait, births it wounded in that
+         wait): {!Wound}'s once-per-wait rule *)
   inflight : (int, inflight) Hashtbl.t;
   parked : (Txn.t * int * Outcome.t Promise.t) Queue.t;
   fin_enqueued : (Types.gid, unit) Hashtbl.t;
   abort_fired : (Types.gid * Types.sid, unit) Hashtbl.t;
   death_reason : (Types.gid, string) Hashtbl.t;
   decided : (Types.gid, bool) Hashtbl.t;  (* true = commit *)
-  (* --- cross-shard state ------------------------------------------- *)
-  span_waiting : (Types.gid, Txn.t * int * Outcome.t Promise.t) Hashtbl.t;
-      (* home side: accepted spans queued for their sequencer grant *)
-  spans : (Types.gid, span) Hashtbl.t;  (* home side: granted, in flight *)
-  span_gate : (Types.gid, gate) Hashtbl.t;  (* member side: fenced *)
-  members : (Types.gid, member) Hashtbl.t;  (* member side: admitted *)
-  ser_started : (Types.gid, unit) Hashtbl.t;
-      (* unfinished txns with >= 1 ser event recorded at this shard; the
-         fence snapshots this set *)
   txn_spans : (Types.gid, int) Hashtbl.t;
   pending_ops : Queue_op.t Queue.t;
   outbox : (Types.sid, Site_worker.request Queue.t) Hashtbl.t;
@@ -357,7 +258,6 @@ type gst = {
   mutable globals_rev : (Types.tid * Types.sid list) list;
   mutable req_counter : int;
   mutable last_progress : float;
-  mutable last_debug_dump : float;
 }
 
 let with_sink g f =
@@ -374,12 +274,6 @@ let cert_feed g evs =
   match g.sh'.live_cert with
   | Some lc -> Live_cert.feed lc evs
   | None -> ()
-
-(* Inter-shard sends (own shard included, for uniform ordering) go on the
-   urgent lane: unbounded, so a shard domain never blocks on a peer — the
-   bounded normal lane is reserved for client admissions. *)
-let post_shard g k msg =
-  ignore (Mailbox.put_urgent g.sh'.shards.(k).sx_inbox msg)
 
 let bump_cause sh cause =
   (match List.assoc_opt cause sh.cause_counts with
@@ -520,14 +414,7 @@ let mark_global_dead g gid reason ~aborting_site =
       (fun s ->
         fire_abort g gid s;
         Gtm1.note_site_terminated g.gtm1 gid s)
-      (Gtm1.begun_sites g.gtm1 gid);
-    (* A commit held at the span barrier will never be released now: fake
-       the ack so the scheme's ser bookkeeping for the dead txn drains. *)
-    match Hashtbl.find_opt g.members gid with
-    | Some ({ mb_held_ser = Some (sid, _); _ } as mb) ->
-        mb.mb_held_ser <- None;
-        enqueue_ack g gid sid
-    | _ -> ()
+      (Gtm1.begun_sites g.gtm1 gid)
   end
 
 (* ------------------------------------------------------------- admission *)
@@ -556,12 +443,7 @@ let admit_now g txn birth promise =
   cert_feed g [ Incremental.Global (gid, Txn.sites txn) ];
   Atomic.incr g.sh'.a_admitted;
   Atomic.incr g.sh'.a_active;
-  Atomic.incr g.sh'.a_unfinished;
   Metrics.set_max g.sh'.m_active_peak (float_of_int (Atomic.get g.sh'.a_active));
-  Metrics.observe g.sh'.m_occupancy 1.0;
-  Metrics.inc g.sh'.m_shard_entered.(g.shard_id);
-  Metrics.set_max g.sh'.m_shard_active_peak.(g.shard_id)
-    (float_of_int (List.length (Gtm1.active g.gtm1) + 1));
   with_sink g (fun sink ->
       let span =
         Sink.begin_span sink
@@ -588,115 +470,18 @@ let admit_parked g progressed =
     progressed := true
   done
 
-(* ----------------------------------------------- span member machinery *)
-
-(* The projection of a spanning transaction onto one shard's sites: same
-   gid, script filtered to the kept sites. Per-site well-formedness
-   (Begin .. Commit brackets) is preserved because filtering drops whole
-   per-site subsequences. *)
-let project smap txn k =
-  let keep =
-    List.filter (fun s -> Shard_map.shard_of smap s = k) (Txn.sites txn)
-  in
-  {
-    txn with
-    Txn.kind = Txn.Global keep;
-    script =
-      List.filter (fun st -> List.mem st.Txn.site keep) txn.Txn.script;
-  }
-
-(* Enter a fenced projection into this shard's engine: the full GTM1 +
-   GTM2 machinery runs on it (wound clocks, crash handling, scheme
-   scheduling), but outcome accounting and the client promise belong to
-   the home shard. *)
-let proj_admit g gid gate =
-  Hashtbl.replace g.members gid
-    {
-      mb_home = gate.gt_home;
-      mb_commit_ok = false;
-      mb_ready_sent = false;
-      mb_held_ser = None;
-    };
-  Hashtbl.replace g.births gid gate.gt_birth;
-  Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"span.enter"
-    [ ("gid", string_of_int gid); ("shard", string_of_int g.shard_id) ];
-  Metrics.inc g.sh'.m_shard_entered.(g.shard_id);
-  Metrics.set_max g.sh'.m_shard_active_peak.(g.shard_id)
-    (float_of_int (List.length (Gtm1.active g.gtm1) + 1));
-  let info =
-    Gtm1.admit g.gtm1 gate.gt_proj ~atomic:g.sh'.cfg_atomic
-      ~ser_point_of:(ser_point_of g) ()
-  in
-  enqueue_op g (Queue_op.Init info);
-  progress g
-
-(* [fin_gid] just finished at this shard: release any fenced projection
-   that was waiting only on transactions now gone. *)
-let gates_unblock g fin_gid =
-  if Hashtbl.length g.span_gate > 0 then begin
-    let ready = ref [] in
-    Hashtbl.iter
-      (fun gid gate ->
-        Hashtbl.remove gate.gt_wait fin_gid;
-        if Hashtbl.length gate.gt_wait = 0 then ready := (gid, gate) :: !ready)
-      g.span_gate;
-    List.iter
-      (fun (gid, gate) ->
-        Hashtbl.remove g.span_gate gid;
-        proj_admit g gid gate)
-      !ready
-  end
-
-(* Entry fence: snapshot every unfinished transaction that already has a
-   serialization event at this shard; the projection enters the engine
-   only once all of them have finished. Any transaction outside the
-   snapshot emits its {e first} ser event after this point — the property
-   DESIGN.md §17's induction needs for global acyclicity. *)
-let member_admit g ~gid ~birth ~proj ~home =
-  let wait = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun g' () -> if g' <> gid then Hashtbl.replace wait g' ())
-    g.ser_started;
-  let gate = { gt_proj = proj; gt_home = home; gt_birth = birth; gt_wait = wait } in
-  if Hashtbl.length wait = 0 then proj_admit g gid gate
-  else Hashtbl.replace g.span_gate gid gate
-
-let member_ready g gid mb =
-  if not mb.mb_ready_sent then begin
-    mb.mb_ready_sent <- true;
-    post_shard g mb.mb_home (Span_ready gid)
-  end
-
 (* ------------------------------------------------------- transaction end *)
 
 let finish_txn g gid progressed =
   if not (Hashtbl.mem g.fin_enqueued gid) then begin
     Hashtbl.replace g.fin_enqueued gid ();
     enqueue_op g (Queue_op.Fin gid);
-    let death_reason () =
-      match Hashtbl.find_opt g.death_reason gid with
-      | Some r -> r
-      | None -> "aborted"
-    in
-    match Hashtbl.find_opt g.members gid with
-    | Some mb ->
-        (* A span projection drained at this shard: report to the home
-           shard, which owns outcome accounting, the certifier's [End]
-           and the client promise (at settle, once every member is done). *)
-        let failed =
-          if Gtm1.is_dead g.gtm1 gid then Some (death_reason ()) else None
-        in
-        Hashtbl.remove g.members gid;
-        Hashtbl.remove g.births gid;
-        Hashtbl.remove g.ser_started gid;
-        Gtm1.finish g.gtm1 gid;
-        gates_unblock g gid;
-        post_shard g mb.mb_home
-          (Span_done { gid; shard = g.shard_id; failed });
-        progressed := true
-    | None ->
     let final =
-      if Gtm1.is_dead g.gtm1 gid then Outcome.Aborted (death_reason ())
+      if Gtm1.is_dead g.gtm1 gid then
+        Outcome.Aborted
+          (match Hashtbl.find_opt g.death_reason gid with
+          | Some r -> r
+          | None -> "aborted")
       else Outcome.Committed
     in
     (match final with
@@ -734,18 +519,14 @@ let finish_txn g gid progressed =
               span
         | None -> ());
     Hashtbl.remove g.births gid;
-    Hashtbl.remove g.ser_started gid;
+    Hashtbl.remove g.wounded gid;
     Gtm1.finish g.gtm1 gid;
-    gates_unblock g gid;
     cert_feed g [ Incremental.End gid ];
     (match Hashtbl.find_opt g.promises gid with
     | Some p ->
         Hashtbl.remove g.promises gid;
         Promise.fulfill p final
     | None -> ());
-    (* Last: every effect of this finish (queue ops, gate releases) is
-       already enqueued, so a peer observing zero cannot miss traffic. *)
-    Atomic.decr g.sh'.a_unfinished;
     progressed := true
   end
 
@@ -761,25 +542,11 @@ let drive_global g gid progressed =
       progressed := true
   | Gtm1.Dispatch_direct step ->
       let sid = step.Gtm1.site and action = step.Gtm1.action in
-      let held_at_barrier =
-        action = Op.Commit
-        &&
-        match Hashtbl.find_opt g.members gid with
-        | Some mb when not mb.mb_commit_ok ->
-            (* Span commit barrier: don't dispatch (the step stays
-               pollable — each pump re-offers it until [Span_go] flips
-               [mb_commit_ok]); tell home this member is ready. *)
-            member_ready g gid mb;
-            true
-        | _ -> false
-      in
-      if not held_at_barrier then begin
-        if action = Op.Commit && not (Gtm1.is_dead g.gtm1 gid) then
-          decide_commit g gid;
-        Gtm1.note_dispatched g.gtm1 gid;
-        send_exec g ~kind:(Direct_req gid) ~gid ~sid ~action;
-        progressed := true
-      end
+      if action = Op.Commit && not (Gtm1.is_dead g.gtm1 gid) then
+        decide_commit g gid;
+      Gtm1.note_dispatched g.gtm1 gid;
+      send_exec g ~kind:(Direct_req gid) ~gid ~sid ~action;
+      progressed := true
 
 (* ---------------------------------------------------------- GTM2 effects *)
 
@@ -797,16 +564,9 @@ let handle_effect g progressed = function
         in
         (* Under 2PC, reaching a commit step means every prepare was
            acknowledged: record the global verdict before the first commit
-           message leaves the GTM. For a span member "every prepare" means
-           every member's — the commit is stashed at the barrier until the
-           home shard's [Span_go], and the verdict is recorded then. *)
-        match Hashtbl.find_opt g.members gid with
-        | Some mb when action = Op.Commit && not mb.mb_commit_ok ->
-            mb.mb_held_ser <- Some (sid, action);
-            member_ready g gid mb
-        | _ ->
-            if action = Op.Commit then decide_commit g gid;
-            send_exec g ~kind:(Ser_req (gid, sid)) ~gid ~sid ~action
+           message leaves the GTM. *)
+        if action = Op.Commit then decide_commit g gid;
+        send_exec g ~kind:(Ser_req (gid, sid)) ~gid ~sid ~action
       end
   | Scheme.Forward_ack (gid, _) ->
       progressed := true;
@@ -826,6 +586,17 @@ let take_inflight g req =
       Some kind
   | None -> None
 
+(* A kill can land while a step is in flight: the victim then had nothing
+   pending to fake-ack, and an in-flight Begin is not yet among its begun
+   sites, so the kill's rollback sweep missed the site that just executed
+   the step. Roll it back there — unless the step was that site's Commit,
+   which already terminated the subtransaction. Call before the ack. *)
+let abort_if_dead g gid sid =
+  if Gtm1.is_dead g.gtm1 gid then
+    match Gtm1.current_step g.gtm1 gid with
+    | Some { Gtm1.action = Op.Commit; _ } -> ()
+    | _ -> fire_abort g gid sid
+
 let handle_reply g progressed = function
   | Site_worker.Executed { req; sid; tid = _ } -> (
       match take_inflight g req with
@@ -833,10 +604,11 @@ let handle_reply g progressed = function
           progressed := true;
           if g.sh'.retain_audit then Ser_schedule.record g.ser_log s gid;
           cert_feed g [ Incremental.Ser (gid, s) ];
-          Hashtbl.replace g.ser_started gid ();
+          abort_if_dead g gid s;
           enqueue_ack g gid s
       | Some (Direct_req gid) ->
           progressed := true;
+          abort_if_dead g gid sid;
           gtm1_ack g gid
       | Some Fire | None -> ignore sid)
   | Site_worker.Waiting { req; sid; tid } -> (
@@ -878,7 +650,6 @@ let handle_reply g progressed = function
         Hashtbl.remove g.pending_ser (sid, tid);
         if g.sh'.retain_audit then Ser_schedule.record g.ser_log sid tid;
         cert_feed g [ Incremental.Ser (tid, sid) ];
-        Hashtbl.replace g.ser_started tid ();
         enqueue_ack g tid sid
       end
       else if Hashtbl.mem g.pending_direct (sid, tid) then begin
@@ -993,7 +764,7 @@ let stall_kill g =
      killing is for transactions that still hold something. *)
   let live gid = Gtm1.is_known g.gtm1 gid && not (Gtm1.is_dead g.gtm1 gid) in
   let candidates =
-    match List.filter live (Gtm_sched.wait_gids g.sched) with
+    match List.filter live (Gtm_sched.wait_gids g.sh'.sched) with
     | [] -> List.filter live (Gtm1.active g.gtm1)
     | waiting -> waiting
   in
@@ -1016,52 +787,15 @@ let stall_kill g =
       kill_global g victim ~reason:"stall-timeout";
       true
 
-let debug_shards =
-  match Sys.getenv_opt "MDBS_SHARD_DEBUG" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
-let debug_dump g =
-  let ids tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-  let il l = String.concat "," (List.map string_of_int (List.sort compare l)) in
-  Printf.eprintf
-    "[shard %d] unfinished=%d active=[%s] pser=%d pdir=%d members=[%s] \
-     gate=[%s] spans=[%s] waiting=[%s] held=[%s] stale=%.0fms\n%!"
-    g.shard_id
-    (Atomic.get g.sh'.a_unfinished)
-    (il (Gtm1.active g.gtm1))
-    (Hashtbl.length g.pending_ser)
-    (Hashtbl.length g.pending_direct)
-    (il (ids g.members))
-    (String.concat ","
-       (Hashtbl.fold
-          (fun gid gate acc ->
-            Printf.sprintf "%d<-{%s}" gid (il (ids gate.gt_wait)) :: acc)
-          g.span_gate []))
-    (String.concat ","
-       (Hashtbl.fold
-          (fun gid sp acc ->
-            Printf.sprintf "%d(r%d/d%d/%d)" gid sp.sp_ready sp.sp_done
-              (List.length sp.sp_members)
-            :: acc)
-          g.spans []))
-    (il (ids g.span_waiting))
-    (il
-       (Hashtbl.fold
-          (fun gid mb acc -> if mb.mb_held_ser <> None then gid :: acc else acc)
-          g.members []))
-    (now g -. g.last_progress)
+let wounded_in_wait g gid ~since =
+  match Hashtbl.find_opt g.wounded gid with
+  | Some (s, births) when s = since -> births
+  | _ -> []
 
 let on_tick g =
-  (if debug_shards then
-     let t = now g in
-     if t -. g.last_debug_dump > 1000. then begin
-       g.last_debug_dump <- t;
-       debug_dump g
-     end);
   let active = Gtm1.active g.gtm1 in
   if active <> [] then begin
-    (* The waiter candidate list comes from the shard's own pending
+    (* The waiter candidate list comes from the GTM's own pending
        tables — a domain-private snapshot, no lock. Only when some waiter
        actually aged into the wound window does the tick pay for the
        resident sweep (per-active [begun_sites]) and, on the safety-valve
@@ -1073,7 +807,7 @@ let on_tick g =
             if Gtm1.is_dead g.gtm1 gid then acc
             else
               { Wound.w_gid = gid; w_birth = birth_of g gid; w_site = sid;
-                w_since = since }
+                w_since = since; w_wounded = wounded_in_wait g gid ~since }
               :: acc)
           tbl acc
       in
@@ -1107,6 +841,11 @@ let on_tick g =
         ~deadline_ms:g.sh'.cfg_stall_ms ~waiters ~residents
     with
     | Wound.Wound { wounder; victim } ->
+        let since =
+          (List.find (fun w -> w.Wound.w_gid = wounder) waiters).Wound.w_since
+        in
+        Hashtbl.replace g.wounded wounder
+          (since, birth_of g victim :: wounded_in_wait g wounder ~since);
         Atomic.incr g.sh'.a_wounds;
         Atomic.incr g.sh'.a_force;
         Metrics.inc g.sh'.m_force;
@@ -1132,204 +871,6 @@ let on_tick g =
           if stall_kill g then progress g
   end
 
-(* ------------------------------------------------------ span coordination *)
-
-(* Home-side acceptance of a spanning global. Spans bypass the max_active
-   park (their concurrency is already bounded by the sequencer: a span
-   holds >= 2 of the N lanes, so at most N/2 run at once); the shed gate
-   upstream counts [span_waiting] against the parked bound instead. *)
-let span_accept g txn birth promise =
-  let gid = txn.Txn.id in
-  if
-    Gtm1.is_known g.gtm1 gid
-    || Hashtbl.mem g.span_waiting gid
-    || Hashtbl.mem g.spans gid
-  then Promise.fulfill promise (Outcome.Aborted "duplicate-admission")
-  else begin
-    let sites = Txn.sites txn in
-    let shards = Shard_map.shards_of g.sh'.smap sites in
-    Hashtbl.replace g.admit_times gid (now g);
-    Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"txn.admit"
-      [ ("gid", string_of_int gid); ("span", "true") ];
-    if g.sh'.retain_audit then g.globals_rev <- (gid, sites) :: g.globals_rev;
-    (* The [Global] declaration is fed here, before the sequencer grant —
-       every member's [Ser] events are causally after it (grant -> admit
-       message -> member pump). *)
-    cert_feed g [ Incremental.Global (gid, sites) ];
-    Atomic.incr g.sh'.a_admitted;
-    Atomic.incr g.sh'.a_active;
-    Atomic.incr g.sh'.a_unfinished;
-    Atomic.incr g.sh'.a_cross;
-    Metrics.inc g.sh'.m_cross;
-    Metrics.set_max g.sh'.m_active_peak
-      (float_of_int (Atomic.get g.sh'.a_active));
-    Metrics.observe g.sh'.m_occupancy (float_of_int (List.length shards));
-    with_sink g (fun sink ->
-        let span =
-          Sink.begin_span sink
-            ~track:(Sink.txn_track sink gid)
-            ~attrs:
-              [
-                ( "sites",
-                  String.concat "," (List.map string_of_int sites) );
-                ("shards", String.concat "," (List.map string_of_int shards));
-              ]
-            "svc.txn"
-        in
-        Hashtbl.replace g.txn_spans gid span);
-    Hashtbl.replace g.span_waiting gid (txn, birth, promise);
-    let home = g.shard_id in
-    (* The notify may fire on this very call (lanes free), or later from
-       whichever shard's settle released the last blocking lane — either
-       way it only posts to the home inbox, never touches [g] state. *)
-    Sequencer.acquire g.sh'.seq ~gid ~shards ~notify:(fun () ->
-        post_shard g home (Span_granted gid));
-    progress g
-  end
-
-(* All lanes held: decompose into per-shard projections. Each member runs
-   the projection through its own full GTM1/engine/wound/crash machinery;
-   the pair-coverage invariant (two globals sharing site s are both
-   scheduled by shard_of(s)) is what keeps every per-site ser order under
-   a single scheme's control. *)
-let span_granted g gid =
-  match Hashtbl.find_opt g.span_waiting gid with
-  | None -> ()
-  | Some (txn, birth, promise) ->
-      Hashtbl.remove g.span_waiting gid;
-      let shards = Shard_map.shards_of g.sh'.smap (Txn.sites txn) in
-      Hashtbl.replace g.spans gid
-        {
-          sp_txn = txn;
-          sp_birth = birth;
-          sp_members = shards;
-          sp_promise = promise;
-          sp_ready = 0;
-          sp_done = 0;
-          sp_fail = None;
-          sp_killed = false;
-          sp_go_sent = false;
-        };
-      List.iter
-        (fun k ->
-          let proj = project g.sh'.smap txn k in
-          if k = g.shard_id then
-            member_admit g ~gid ~birth ~proj ~home:g.shard_id
-          else post_shard g k (Span_admit { gid; birth; proj; home = g.shard_id }))
-        shards;
-      progress g
-
-let span_settle g gid sp =
-  Hashtbl.remove g.spans gid;
-  let final =
-    match sp.sp_fail with
-    | None -> Outcome.Committed
-    | Some reason -> Outcome.Aborted reason
-  in
-  (match final with
-  | Outcome.Committed ->
-      Atomic.incr g.sh'.a_committed;
-      Metrics.inc g.sh'.m_committed
-  | Outcome.Aborted reason ->
-      Atomic.incr g.sh'.a_aborted;
-      Metrics.inc g.sh'.m_aborted;
-      bump_cause g.sh' (cause_of_reason reason)
-  | Outcome.Shed -> assert false);
-  (match Hashtbl.find_opt g.admit_times gid with
-  | Some t0 ->
-      Hashtbl.remove g.admit_times gid;
-      Metrics.observe g.sh'.m_response (now g -. t0)
-  | None -> ());
-  Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0
-    ~name:
-      (match final with
-      | Outcome.Committed -> "txn.commit"
-      | _ -> "txn.abort")
-    (("gid", string_of_int gid)
-    ::
-    (match final with
-    | Outcome.Aborted reason -> [ ("reason", reason) ]
-    | _ -> []));
-  Atomic.decr g.sh'.a_active;
-  with_sink g (fun sink ->
-      match Hashtbl.find_opt g.txn_spans gid with
-      | Some span ->
-          Hashtbl.remove g.txn_spans gid;
-          Sink.end_span sink
-            ~attrs:[ ("outcome", Outcome.to_string final) ]
-            span
-      | None -> ());
-  cert_feed g [ Incremental.End gid ];
-  Promise.fulfill sp.sp_promise final;
-  (* Release the lanes only after the span's [End] is fed and its promise
-     settled; the grant this hands to the next span is the ser(S)-position
-     handoff of DESIGN.md §17. The unfinished decrement comes last so no
-     shard's drain loop can observe zero while this settle still owes a
-     peer a message. *)
-  Sequencer.release g.sh'.seq ~gid;
-  Atomic.decr g.sh'.a_unfinished;
-  progress g
-
-let span_done g gid ~shard ~failed =
-  match Hashtbl.find_opt g.spans gid with
-  | None -> ()
-  | Some sp ->
-      sp.sp_done <- sp.sp_done + 1;
-      (match failed with
-      | Some r ->
-          if sp.sp_fail = None then sp.sp_fail <- Some r;
-          if not sp.sp_killed then begin
-            sp.sp_killed <- true;
-            List.iter
-              (fun k -> if k <> shard then post_shard g k (Span_kill gid))
-              sp.sp_members
-          end
-      | None -> ());
-      if sp.sp_done = List.length sp.sp_members then span_settle g gid sp
-
-let span_ready g gid =
-  match Hashtbl.find_opt g.spans gid with
-  | None -> ()
-  | Some sp ->
-      sp.sp_ready <- sp.sp_ready + 1;
-      if
-        (not sp.sp_go_sent) && (not sp.sp_killed)
-        && sp.sp_ready = List.length sp.sp_members
-      then begin
-        sp.sp_go_sent <- true;
-        List.iter (fun k -> post_shard g k (Span_go gid)) sp.sp_members
-      end
-
-(* Member side: home released the commits. A scheme-routed held commit is
-   flushed here; a held direct commit is re-polled by the next pump (the
-   batch handler always pumps after the messages). *)
-let span_go_member g gid =
-  match Hashtbl.find_opt g.members gid with
-  | None -> ()  (* already finished here (e.g. killed) — benign *)
-  | Some mb ->
-      mb.mb_commit_ok <- true;
-      (match mb.mb_held_ser with
-      | Some (sid, action) when not (Gtm1.is_dead g.gtm1 gid) ->
-          mb.mb_held_ser <- None;
-          decide_commit g gid;
-          send_exec g ~kind:(Ser_req (gid, sid)) ~gid ~sid ~action
-      | Some (sid, _) ->
-          mb.mb_held_ser <- None;
-          enqueue_ack g gid sid
-      | None -> ())
-
-let span_kill_member g gid =
-  match Hashtbl.find_opt g.span_gate gid with
-  | Some gate ->
-      (* Still fenced: it never entered the engine, so nothing to roll
-         back — answer done directly. *)
-      Hashtbl.remove g.span_gate gid;
-      post_shard g gate.gt_home
-        (Span_done { gid; shard = g.shard_id; failed = Some "span-kill" })
-  | None ->
-      if Gtm1.is_known g.gtm1 gid && not (Gtm1.is_dead g.gtm1 gid) then
-        kill_global g gid ~reason:"span-kill"
-
 (* ------------------------------------------------------------- the pump *)
 
 (* Run the scheduler and drive every transaction as far as it goes without
@@ -1350,7 +891,7 @@ let pump g =
            serialize on sink_mutex; lock order is sink_mutex > sched lock. *)
         Mutex.lock g.sh'.sink_mutex;
         let e =
-          try Gtm_sched.run_ops g.sched ops
+          try Gtm_sched.run_ops g.sh'.sched ops
           with ex ->
             Mutex.unlock g.sh'.sink_mutex;
             raise ex
@@ -1358,7 +899,7 @@ let pump g =
         Mutex.unlock g.sh'.sink_mutex;
         e
       end
-      else Gtm_sched.run_ops g.sched ops
+      else Gtm_sched.run_ops g.sh'.sched ops
     in
     if effects <> [] then progressed := true;
     List.iter (handle_effect g progressed) effects;
@@ -1389,11 +930,8 @@ let handle_batch g msgs =
                acquires any per-site state. A deep parked queue or many
                site-blocked globals means admitting more work only feeds
                the contention that is already killing transactions — a
-               shed client backs off without costing any site a rollback.
-               Sharded: the bounds are per shard, and spans queued for
-               their sequencer grant count against the parked bound. *)
-            Queue.length g.parked + Hashtbl.length g.span_waiting
-            >= g.sh'.cfg_shed_parked
+               shed client backs off without costing any site a rollback. *)
+            Queue.length g.parked >= g.sh'.cfg_shed_parked
             || Hashtbl.length g.pending_ser + Hashtbl.length g.pending_direct
                >= g.sh'.cfg_shed_blocked
           then begin
@@ -1403,34 +941,13 @@ let handle_batch g msgs =
               [ ("gid", string_of_int txn.Txn.id) ];
             Promise.fulfill promise Outcome.Shed
           end
-          else if Shard_map.spanning g.sh'.smap (Txn.sites txn) then begin
-            span_accept g txn birth promise;
-            progressed := true
-          end
           else if Atomic.get g.sh'.a_active < g.sh'.cfg_max_active then
             admit_now g txn birth promise
           else Queue.add (txn, birth, promise) g.parked
       | Replies rs -> List.iter (handle_reply g progressed) rs
-      | Span_granted gid ->
-          span_granted g gid;
-          progressed := true
-      | Span_admit { gid; birth; proj; home } ->
-          member_admit g ~gid ~birth ~proj ~home;
-          progressed := true
-      | Span_ready gid -> span_ready g gid
-      | Span_go gid ->
-          span_go_member g gid;
-          progressed := true
-      | Span_done { gid; shard; failed } ->
-          span_done g gid ~shard ~failed;
-          progressed := true
-      | Span_kill gid ->
-          span_kill_member g gid;
-          progressed := true
       | Tick ->
           incr ticks;
-          ignore
-            (Atomic.fetch_and_add g.sh'.shards.(g.shard_id).sx_ticks (-1)))
+          ignore (Atomic.fetch_and_add g.sh'.pending_ticks (-1)))
     msgs;
   if !progressed then progress g;
   pump g;
@@ -1443,14 +960,10 @@ let handle_batch g msgs =
     if not (Queue.is_empty g.pending_ops) then pump g
   end
 
-let gtm_loop sh shard_id worker_of =
-  let sx = sh.shards.(shard_id) in
+let gtm_loop sh worker_of =
   let g =
     {
       sh' = sh;
-      shard_id;
-      inbox = sx.sx_inbox;
-      sched = sx.sx_sched;
       worker_of;
       gtm1 = Gtm1.create ();
       ser_log = Ser_schedule.create ();
@@ -1459,17 +972,13 @@ let gtm_loop sh shard_id worker_of =
       admit_times = Hashtbl.create 64;
       pending_ser = Hashtbl.create 16;
       pending_direct = Hashtbl.create 16;
+      wounded = Hashtbl.create 16;
       inflight = Hashtbl.create 32;
       parked = Queue.create ();
       fin_enqueued = Hashtbl.create 64;
       abort_fired = Hashtbl.create 16;
       death_reason = Hashtbl.create 16;
       decided = Hashtbl.create 64;
-      span_waiting = Hashtbl.create 16;
-      spans = Hashtbl.create 16;
-      span_gate = Hashtbl.create 16;
-      members = Hashtbl.create 16;
-      ser_started = Hashtbl.create 64;
       txn_spans = Hashtbl.create 64;
       pending_ops = Queue.create ();
       outbox = Hashtbl.create 16;
@@ -1477,27 +986,16 @@ let gtm_loop sh shard_id worker_of =
       globals_rev = [];
       req_counter = 0;
       last_progress = Clock.now_ms sh.clock;
-      last_debug_dump = Clock.now_ms sh.clock;
     }
   in
-  (* Exit only when nothing anywhere is unfinished: the shared counter
-     covers spans mid-protocol at {e other} shards that might still owe
-     this shard a message (the ticker keeps every shard's loop turning
-     until all shards joined, so waiting on peers cannot wedge). The
-     local conditions are then redundant but cheap — and they keep the
-     drain honest if accounting ever drifts. *)
   let done_ () =
     Atomic.get sh.draining
-    && Atomic.get sh.a_unfinished = 0
     && Gtm1.active g.gtm1 = []
     && Queue.is_empty g.parked
-    && Hashtbl.length g.span_waiting = 0
-    && Hashtbl.length g.spans = 0
-    && Hashtbl.length g.span_gate = 0
-    && Mailbox.length g.inbox = 0
+    && Mailbox.length sh.inbox = 0
   in
   let rec loop () =
-    match Mailbox.drain g.inbox with
+    match Mailbox.drain sh.inbox with
     | [] -> ()
     | msgs ->
         Metrics.set_max sh.m_batch_peak (float_of_int (List.length msgs));
@@ -1505,15 +1003,15 @@ let gtm_loop sh shard_id worker_of =
         (* Ship every site's dispatch round as one message per site. *)
         flush_outbox g;
         Metrics.set_max sh.m_inbox_depth
-          (float_of_int (Mailbox.length g.inbox));
+          (float_of_int (Mailbox.length sh.inbox));
         if done_ () then () else loop ()
   in
-  (* A scheduling bug must not wedge the whole runtime: a dead shard
-     domain silently swallows its exception until the (never-reached)
-     join. Scream first, then re-raise for the join. *)
+  (* A scheduling bug must not wedge the whole runtime: a dead GTM domain
+     silently swallows its exception until the (never-reached) join.
+     Scream first, then re-raise for the join. *)
   (try loop ()
    with ex ->
-     Printf.eprintf "[svc shard %d] FATAL: %s\n%s%!" shard_id
+     Printf.eprintf "[svc gtm] FATAL: %s\n%s%!"
        (Printexc.to_string ex)
        (Printexc.get_backtrace ());
      raise ex);
@@ -1528,31 +1026,7 @@ let start (cfg : config) =
   let clock = Clock.start () in
   let obs = cfg.obs in
   if obs.Obs.live then Obs.set_clock obs (fun () -> Clock.now_ms clock);
-  let nshards = cfg.gtm_shards in
-  let smap =
-    Shard_map.create ~shards:nshards
-      ~sites:(List.map Local_dbms.site_id cfg.sites)
-  in
-  let shards =
-    Array.init nshards (fun k ->
-        let scheme =
-          (* Shard 0 owns the config's scheme instance (the single-shard
-             layout, unchanged); further shards each get a fresh instance
-             from the factory — engines must never share scheme state. *)
-          if k = 0 then cfg.scheme
-          else
-            match cfg.scheme_factory with
-            | Some f -> f ()
-            | None -> assert false (* enforced by {!config} *)
-        in
-        {
-          sx_id = k;
-          sx_inbox = Mailbox.create ~capacity:cfg.capacity ();
-          sx_sched = Gtm_sched.create ~obs scheme;
-          sx_ticks = Atomic.make 0;
-        })
-  in
-  let seq = Sequencer.create ~shards:nshards in
+  let inbox = Mailbox.create ~capacity:cfg.capacity () in
   let sink_mutex = Mutex.create () in
   let ser_points = Hashtbl.create 16 in
   let needs_decl = Hashtbl.create 16 in
@@ -1594,12 +1068,6 @@ let start (cfg : config) =
   | Some lc ->
       Live_cert.feed lc
         (List.map (fun (sid, p) -> Incremental.Site (sid, Some p)) protocols);
-      (* Shard tags: informational events recording which scheduling shard
-         drives each site's ser events in this run. *)
-      Live_cert.feed lc
-        (List.map
-           (fun (sid, _) -> Incremental.Shard (sid, Shard_map.shard_of smap sid))
-           protocols);
       List.iter
         (fun dbms ->
           let sid = Local_dbms.site_id dbms in
@@ -1629,9 +1097,8 @@ let start (cfg : config) =
       s_name = cfg.scheme.Scheme.name;
       retain_audit = cfg.certify <> Certify_soak;
       live_cert;
-      shards;
-      smap;
-      seq;
+      inbox;
+      sched = Gtm_sched.create ~obs cfg.scheme;
       clock;
       obs;
       sink_mutex;
@@ -1640,6 +1107,7 @@ let start (cfg : config) =
       protocols;
       accepting = Atomic.make true;
       draining = Atomic.make false;
+      pending_ticks = Atomic.make 0;
       a_admitted = Atomic.make 0;
       a_committed = Atomic.make 0;
       a_aborted = Atomic.make 0;
@@ -1650,8 +1118,6 @@ let start (cfg : config) =
       a_stall_kills = Atomic.make 0;
       a_crashes = Atomic.make 0;
       a_active = Atomic.make 0;
-      a_unfinished = Atomic.make 0;
-      a_cross = Atomic.make 0;
       cause_counts =
         List.map (fun c -> (c, Atomic.make 0)) abort_cause_names;
       m_committed = Metrics.counter obs.Obs.metrics ~labels "svc_committed_total";
@@ -1669,20 +1135,6 @@ let start (cfg : config) =
       m_active_peak = Metrics.gauge obs.Obs.metrics ~labels "svc_active_peak";
       m_batch_peak = Metrics.gauge obs.Obs.metrics ~labels "svc_batch_peak";
       m_response = Metrics.histogram obs.Obs.metrics ~labels "svc_response_ms";
-      m_cross =
-        Metrics.counter obs.Obs.metrics ~labels "svc_cross_shard_txns_total";
-      m_occupancy =
-        Metrics.histogram obs.Obs.metrics ~labels "svc_txn_shard_occupancy";
-      m_shard_entered =
-        Array.init nshards (fun k ->
-            Metrics.counter obs.Obs.metrics
-              ~labels:(("shard", string_of_int k) :: labels)
-              "svc_shard_entered_total");
-      m_shard_active_peak =
-        Array.init nshards (fun k ->
-            Metrics.gauge obs.Obs.metrics
-              ~labels:(("shard", string_of_int k) :: labels)
-              "svc_shard_active_peak");
       telem =
         (if
            cfg.telemetry_out = None && cfg.openmetrics_out = None
@@ -1708,12 +1160,7 @@ let start (cfg : config) =
       cert_dump_fired = Atomic.make false;
     }
   in
-  (* Replies route straight to the shard owning the worker's site — the
-     shard whose engine dispatched every Exec the worker ever sees. *)
-  let reply_for sid =
-    let sx = shards.(Shard_map.shard_of smap sid) in
-    fun rs -> ignore (Mailbox.put_urgent sx.sx_inbox (Replies rs))
-  in
+  let reply rs = ignore (Mailbox.put_urgent inbox (Replies rs)) in
   let observe_for sid =
     if obs.Obs.live && Sink.enabled obs.Obs.sink then (fun tid action outcome ->
       Mutex.lock sink_mutex;
@@ -1741,9 +1188,9 @@ let start (cfg : config) =
   let workers =
     List.map
       (fun dbms ->
-        let sid = Local_dbms.site_id dbms in
-        Site_worker.spawn ~reply:(reply_for sid) ?on_local_done
-          ~observe:(observe_for sid) dbms)
+        Site_worker.spawn ~reply ?on_local_done
+          ~observe:(observe_for (Local_dbms.site_id dbms))
+          dbms)
       cfg.sites
   in
   let worker_tbl = Hashtbl.create 16 in
@@ -1753,9 +1200,7 @@ let start (cfg : config) =
     | Some w -> w
     | None -> invalid_arg (Printf.sprintf "svc: unknown site %d" sid)
   in
-  let gtm_domains =
-    Array.init nshards (fun k -> Domain.spawn (fun () -> gtm_loop sh k worker_of))
-  in
+  let gtm_domain = Domain.spawn (fun () -> gtm_loop sh worker_of) in
   let ticker_stop = Atomic.make false in
   let tick_s = cfg.tick_ms /. 1000. in
   let ticker =
@@ -1763,17 +1208,12 @@ let start (cfg : config) =
       (fun () ->
         while not (Atomic.get ticker_stop) do
           Thread.delay tick_s;
-          (* At most one tick in flight per shard: the ticker never floods
-             a busy shard, and an idle one still gets its stall heartbeat
-             (and its parked/gated work a chance to drain on capacity
-             freed by peers). *)
-          Array.iter
-            (fun sx ->
-              if Atomic.get sx.sx_ticks = 0 then begin
-                Atomic.incr sx.sx_ticks;
-                ignore (Mailbox.put_urgent sx.sx_inbox Tick)
-              end)
-            sh.shards;
+          (* At most one tick in flight: the ticker never floods a busy
+             GTM, and an idle GTM still gets its stall heartbeat. *)
+          if Atomic.get sh.pending_ticks = 0 then begin
+            Atomic.incr sh.pending_ticks;
+            ignore (Mailbox.put_urgent inbox Tick)
+          end;
           (* Telemetry piggybacks on the same heartbeat: window flushes
              and the cert-violation flight trigger both run here, off the
              GTM hot path. *)
@@ -1798,7 +1238,7 @@ let start (cfg : config) =
     sh;
     workers;
     worker_tbl;
-    gtm_domains;
+    gtm_domain;
     ticker_stop;
     ticker;
     shutdown_memo = None;
@@ -1813,12 +1253,6 @@ let aborted_promise reason =
   Promise.fulfill p (Outcome.Aborted reason);
   p
 
-(* Admissions go to the footprint's home shard (its lowest shard): for a
-   single-shard footprint that is the scheduling shard itself; for a span,
-   the coordinator. *)
-let home_inbox t txn =
-  t.sh.shards.(Shard_map.home t.sh.smap (Txn.sites txn)).sx_inbox
-
 let submit_global t ?birth txn =
   if not (Txn.is_global txn) then
     invalid_arg "Runtime.submit_global: local transaction";
@@ -1826,8 +1260,7 @@ let submit_global t ?birth txn =
   if not (Atomic.get t.sh.accepting) then aborted_promise "shutdown"
   else begin
     let p = Promise.create () in
-    if Mailbox.put (home_inbox t txn) (Admit { txn; birth; promise = p })
-    then p
+    if Mailbox.put t.sh.inbox (Admit { txn; birth; promise = p }) then p
     else aborted_promise "shutdown"
   end
 
@@ -1839,7 +1272,7 @@ let try_submit_global t ?birth txn =
   else begin
     let p = Promise.create () in
     match
-      Mailbox.try_put (home_inbox t txn) (Admit { txn; birth; promise = p })
+      Mailbox.try_put t.sh.inbox (Admit { txn; birth; promise = p })
     with
     | `Ok -> Some p
     | `Full ->
@@ -1880,11 +1313,7 @@ let stats t =
     stall_kills = Atomic.get t.sh.a_stall_kills;
     site_crashes = Atomic.get t.sh.a_crashes;
     active = Atomic.get t.sh.a_active;
-    inbox_hwm =
-      Array.fold_left
-        (fun acc sx -> max acc (Mailbox.high_watermark sx.sx_inbox))
-        0 t.sh.shards;
-    cross_shard = Atomic.get t.sh.a_cross;
+    inbox_hwm = Mailbox.high_watermark t.sh.inbox;
     abort_causes =
       List.filter_map
         (fun (c, a) ->
@@ -1894,10 +1323,7 @@ let stats t =
       List.map (fun w -> (Site_worker.sid w, Site_worker.ops_handled w)) t.workers;
   }
 
-let stalled t =
-  List.concat_map
-    (fun sx -> Gtm_sched.stalled sx.sx_sched)
-    (Array.to_list t.sh.shards)
+let stalled t = Gtm_sched.stalled t.sh.sched
 
 let live_violated t = Option.map Live_cert.violated t.sh.live_cert
 
@@ -1907,28 +1333,12 @@ let shutdown t =
   | None ->
       Atomic.set t.sh.accepting false;
       Atomic.set t.sh.draining true;
-      (* Kick every shard loop awake; account the ticks so the ticker's
-         one-in-flight budgets stay balanced (the drain may need many more
-         ticks to stall-kill whatever is still blocked — and the ticker
-         keeps all shards turning until every one has joined, because a
-         shard's exit can depend on span traffic from its peers). *)
-      Array.iter
-        (fun sx ->
-          Atomic.incr sx.sx_ticks;
-          ignore (Mailbox.put_urgent sx.sx_inbox Tick))
-        t.sh.shards;
-      let caps =
-        Array.to_list (Array.map Domain.join t.gtm_domains)
-      in
-      (* Per-site ser subsequences each come from exactly one shard, so
-         concatenating the shard audit logs preserves every per-site ser
-         order — the only order Theorem 2 consumes. *)
-      let cap =
-        {
-          cap_ser_events = List.concat_map (fun c -> c.cap_ser_events) caps;
-          cap_globals = List.concat_map (fun c -> c.cap_globals) caps;
-        }
-      in
+      (* Kick the GTM loop awake; account the tick so the ticker's
+         one-in-flight budget stays balanced (the drain may need many more
+         ticks to stall-kill whatever is still blocked). *)
+      Atomic.incr t.sh.pending_ticks;
+      ignore (Mailbox.put_urgent t.sh.inbox Tick);
+      let cap = Domain.join t.gtm_domain in
       (* The GTM exited with nothing active: workers only hold local
          transactions now; stop and reclaim them. *)
       List.iter (fun w -> Site_worker.send w Site_worker.Stop) t.workers;
@@ -1973,17 +1383,11 @@ let shutdown t =
              ~reason:"cert-violation")
       end;
       let wait_insertions, ser_waits, engine_steps, scheme_steps =
-        Array.fold_left
-          (fun (w, s, e_, sc) sx ->
-            let w', s', e', sc' =
-              Gtm_sched.with_engine sx.sx_sched (fun e ->
-                  ( Engine.total_wait_insertions e,
-                    Engine.ser_wait_insertions e,
-                    Engine.engine_steps e,
-                    (Engine.scheme e).Scheme.steps () ))
-            in
-            (w + w', s + s', e_ + e', sc + sc'))
-          (0, 0, 0, 0) t.sh.shards
+        Gtm_sched.with_engine t.sh.sched (fun e ->
+            ( Engine.total_wait_insertions e,
+              Engine.ser_wait_insertions e,
+              Engine.engine_steps e,
+              (Engine.scheme e).Scheme.steps () ))
       in
       let r =
         {

@@ -2,24 +2,10 @@
     concurrent).
 
     One worker domain per local site runs the unchanged {!Mdbs_site.Local_dbms}
-    behind a mailbox; [gtm_shards] GTM domains each run GTM1 admission plus
-    their own GTM2 scheduler ({!Gtm_sched} — a private engine and scheme
-    behind a mutex), partitioned by site footprint: {!Shard_map} assigns
-    every site to exactly one shard, a global whose site set falls inside
-    one shard is scheduled entirely by that shard's domain (the hot path —
-    no cross-shard synchronization), and a {e spanning} global takes a
-    coordinated slow path: its home shard acquires a ticket from the
-    {!Sequencer} (one exclusive lane per member shard, granted only at the
-    head of {e every} lane — ticket order is total, so no lane-acquisition
-    deadlock), then each member shard admits the per-shard {e projection}
-    of the transaction through its full GTM1/GTM2 machinery behind an
-    entry fence (the projection waits until every global that already had
-    a ser event at that shard and is still unfinished has drained), and a
-    cross-shard ready barrier withholds every member's first commit action
-    until all members have finished their reads (atomic-commit alignment).
-    See DESIGN.md §17 for the ordering argument. Clients are arbitrary
-    threads/domains that submit transactions (routed to the home shard's
-    mailbox) and await a {!Promise.t} of the final status. A bounded admission lane
+    behind a mailbox; one GTM domain runs GTM1 admission plus the GTM2
+    scheduler ({!Gtm_sched} — the existing engine and scheme behind a
+    mutex); clients are arbitrary threads/domains that submit transactions
+    and await a {!Promise.t} of the final status. A bounded admission lane
     gives backpressure ({!submit_global} blocks when the GTM is saturated)
     and admission control ({!try_submit_global} refuses instead, and the
     GTM itself {e sheds} admissions — a distinct {!Outcome.Shed}, not an
@@ -29,12 +15,13 @@
     aborts. Each site-blocked transaction ages on its own clock (stamped
     when the site answers [Waiting]); the victim policy is {!Wound}'s
     bounded wound-wait: an old-enough waiter wounds the youngest
-    strictly-younger transaction resident at its blocked site (age
-    priority — the oldest member of a conflict set is never the victim,
-    and retries inherit their first attempt's birth via [?birth], so
-    no transaction starves), while a waiter past the hard
-    [stall_timeout_ms] deadline with nothing to wound is killed itself
-    (bounded wait — liveness without exact conflict attribution). A
+    strictly-younger transaction resident at its blocked site, at most
+    once per logical transaction and wait (age priority — the oldest
+    member of a conflict set is never the victim, and retries inherit
+    their first attempt's birth via [?birth], so no transaction
+    starves), while a waiter past the hard [stall_timeout_ms] deadline
+    with nothing to wound is killed itself (bounded wait — liveness
+    without exact conflict attribution). A
     global-quiescence safety valve backs both rules for stalls with no
     identifiable site block. One victim per tick. Every abort is
     classified into a cause bucket ([wound], [stall_kill],
@@ -79,17 +66,8 @@ type certify_mode =
           certified); the live verdict alone carries soak certification. *)
 
 type config = {
-  scheme : Mdbs_core.Scheme.t;
-      (** Fresh instance; owned by the runtime (seeds shard 0). *)
-  scheme_factory : (unit -> Mdbs_core.Scheme.t) option;
-      (** Fresh-scheme constructor for shards beyond the first. Each shard
-          owns a private engine + scheme instance, so the factory must
-          build {e independent} state. *)
+  scheme : Mdbs_core.Scheme.t;  (** Fresh instance; owned by the runtime. *)
   sites : Mdbs_site.Local_dbms.t list;  (** Owned by the site workers. *)
-  gtm_shards : int;
-      (** GTM scheduling shards (default 1 — the pre-existing single-domain
-          behavior). Must satisfy [1 <= gtm_shards <= length sites]; values
-          above 1 require [scheme_factory]. *)
   atomic_commit : bool;  (** Two-phase commit for globals (default false). *)
   capacity : int;
       (** Admission-lane bound: blocked {!submit_global} = backpressure. *)
@@ -153,8 +131,6 @@ val config :
   ?telemetry_interval_ms:float ->
   ?slos:Mdbs_obs.Slo.spec list ->
   ?flight_dump:string ->
-  ?gtm_shards:int ->
-  ?scheme_factory:(unit -> Mdbs_core.Scheme.t) ->
   scheme:Mdbs_core.Scheme.t ->
   sites:Mdbs_site.Local_dbms.t list ->
   unit ->
@@ -163,9 +139,7 @@ val config :
     wound window [max (4 * tick_ms) 20] ms, tick 5 ms, shedding at
     [8 * max_active] parked / [max_active] site-blocked, observability
     disabled, [Certify_batch], checkpoint every 4096 events, telemetry off
-    (no outputs, 1 s windows, no SLOs, flight recorder disabled), one GTM
-    shard. Raises [Invalid_argument] when [gtm_shards] is out of range or
-    [> 1] without a [scheme_factory]. *)
+    (no outputs, 1 s windows, no SLOs, flight recorder disabled). *)
 
 type t
 
@@ -186,12 +160,7 @@ type stats = {
           conflict). *)
   site_crashes : int;
   active : int;
-  inbox_hwm : int;
-      (** GTM inbox high-watermark, max across shards (congestion
-          telltale). *)
-  cross_shard : int;
-      (** Spanning globals that took the coordinated cross-shard path
-          (0 with one shard). *)
+  inbox_hwm : int;  (** GTM inbox high-watermark (congestion telltale). *)
   abort_causes : (string * int) list;
       (** Non-zero cause buckets — [wound | stall_kill | scheme_reject |
           shed | crash | other] — mirroring [svc_aborts_total{cause}].

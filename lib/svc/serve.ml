@@ -30,7 +30,6 @@ type config = {
   telemetry_interval_ms : float;
   slos : Mdbs_obs.Slo.spec list;
   flight_dump : string option;
-  gtm_shards : int;
 }
 
 let config ?(wl = Workload.default) ?(rate = 200.) ?(duration_s = 5.)
@@ -40,14 +39,14 @@ let config ?(wl = Workload.default) ?(rate = 200.) ?(duration_s = 5.)
     ?shed_blocked ?(report_every_s = 1.) ?(obs = Obs.disabled)
     ?(certify = Runtime.Certify_batch) ?(cert_checkpoint_every = 4096)
     ?telemetry_out ?openmetrics_out ?(telemetry_interval_ms = 1000.)
-    ?(slos = []) ?flight_dump ?(gtm_shards = 1) scheme =
+    ?(slos = []) ?flight_dump scheme =
   if rate <= 0. then invalid_arg "Serve.config: rate <= 0";
   if duration_s <= 0. then invalid_arg "Serve.config: duration <= 0";
   { wl; scheme; rate; duration_s; local_fraction; seed; retry; atomic_commit;
     capacity; max_active; stall_timeout_ms; wound_after_ms; tick_ms;
     shed_parked; shed_blocked; report_every_s; obs; certify;
     cert_checkpoint_every; telemetry_out; openmetrics_out;
-    telemetry_interval_ms; slos; flight_dump; gtm_shards }
+    telemetry_interval_ms; slos; flight_dump }
 
 type summary = {
   offered : int;
@@ -103,9 +102,7 @@ let run ?(quiet = false) cfg =
          ~cert_checkpoint_every:cfg.cert_checkpoint_every
          ?telemetry_out:cfg.telemetry_out ?openmetrics_out:cfg.openmetrics_out
          ~telemetry_interval_ms:cfg.telemetry_interval_ms ~slos:cfg.slos
-         ?flight_dump:cfg.flight_dump ~gtm_shards:cfg.gtm_shards
-         ~scheme_factory:(fun () -> Registry.make cfg.scheme)
-         ~scheme:(Registry.make cfg.scheme)
+         ?flight_dump:cfg.flight_dump ~scheme:(Registry.make cfg.scheme)
          ~sites ())
   in
   let retry_of_attempt =
@@ -120,6 +117,7 @@ let run ?(quiet = false) cfg =
   let rejected = ref 0 in
   let shed = ref 0 in
   let retries = ref 0 in
+  let locals = ref [] in
   (* Attempts in flight, newest first; resubmissions not yet due, as
      (not-before, txn, birth, next attempt number). *)
   let pending = ref [] in
@@ -189,7 +187,9 @@ let run ?(quiet = false) cfg =
       in
       if local then begin
         let sid = Rng.int rng cfg.wl.Workload.m in
-        ignore (Runtime.submit_local rt (Workload.local_txn rng cfg.wl sid));
+        locals :=
+          Runtime.submit_local rt (Workload.local_txn rng cfg.wl sid)
+          :: !locals;
         incr accepted
       end
       else
@@ -212,7 +212,12 @@ let run ?(quiet = false) cfg =
   List.iter Mdbs_site.Local_dbms.close sites;
   poll_pending (Unix.gettimeofday ());
   let elapsed_s = Unix.gettimeofday () -. t0 in
-  let committed = run.Runtime.run_stats.Runtime.committed in
+  (* The runtime counts committed globals only; locals settle site-side. *)
+  let committed =
+    List.fold_left
+      (fun n p -> if Promise.peek p = Some Outcome.Committed then n + 1 else n)
+      run.Runtime.run_stats.Runtime.committed !locals
+  in
   {
     offered = !offered;
     accepted = !accepted;

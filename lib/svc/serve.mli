@@ -51,7 +51,6 @@ type config = {
   telemetry_interval_ms : float;
   slos : Mdbs_obs.Slo.spec list;
   flight_dump : string option;
-  gtm_shards : int;  (** GTM scheduling shards ({!Runtime.config}). *)
 }
 
 val config :
@@ -78,7 +77,6 @@ val config :
   ?telemetry_interval_ms:float ->
   ?slos:Mdbs_obs.Slo.spec list ->
   ?flight_dump:string ->
-  ?gtm_shards:int ->
   Mdbs_core.Registry.kind ->
   config
 (** Defaults: default workload, 200 arrivals/s offered, 5 s, no locals,

@@ -5,6 +5,7 @@ type waiter = {
   w_birth : int;
   w_site : Types.sid;
   w_since : float;
+  w_wounded : int list;
 }
 
 type resident = { r_gid : Types.gid; r_birth : int; r_sites : Types.sid list }
@@ -45,7 +46,8 @@ let decide ~now ~wound_after_ms ~deadline_ms ~waiters ~residents =
             (fun r ->
               r.r_gid <> w.w_gid
               && older w.w_birth w.w_gid r.r_birth r.r_gid
-              && List.mem w.w_site r.r_sites)
+              && List.mem w.w_site r.r_sites
+              && not (List.mem r.r_birth w.w_wounded))
             residents
         in
         match candidates with
@@ -66,12 +68,14 @@ let decide ~now ~wound_after_ms ~deadline_ms ~waiters ~residents =
       (* Bounded wait: some waiter is past the hard deadline with no
          younger conflicting resident to wound anywhere — an undetectable
          stall (blocked behind an older global or a local transaction the
-         GTM cannot see). Kill the {e youngest waiter overall}, not the
-         breaching one: in a cycle of two or more blocked globals the
-         oldest always survives, and the population shrinks every tick the
-         breach persists, so the wait is still bounded. *)
-      if List.exists (expired deadline_ms) waiters then
-        match List.rev (oldest_first waiters) with
-        | [] -> No_kill
-        | w :: _ -> Timeout w.w_gid
-      else No_kill
+         GTM cannot see). Kill the youngest waiter {e past the deadline}:
+         among two or more of them the oldest survives, and a waiter that
+         arrived later, queued behind the stalled one, frees nothing it
+         needs — its retry would only take its place. The set past the
+         deadline shrinks every tick the breach persists, so the wait is
+         still bounded. *)
+      match
+        List.rev (oldest_first (List.filter (expired deadline_ms) waiters))
+      with
+      | [] -> No_kill
+      | w :: _ -> Timeout w.w_gid

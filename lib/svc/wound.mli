@@ -14,15 +14,21 @@
       ones, so transaction age defines a total order on kills and no
       transaction can be wounded forever (its age only grows relative to the
       live population — retries inherit the birth of their first attempt).
+      One wait wounds a logical transaction at most once: residency is only
+      a guess at who blocks the waiter, and a waiter stuck behind an older
+      transaction would otherwise wound the same victim's retries until
+      their attempts ran out.
 
     - {b Bounded wait (liveness):} when some waiter is past [deadline_ms]
       and no wound applies — it is blocked behind an {e older} global or a
-      local transaction the GTM cannot see — the {e youngest waiter
-      overall} is killed (not necessarily the breaching one). The blocked
-      population shrinks on every tick the breach persists, so every wait
-      stays bounded and deadlock-freedom does not depend on the conflict
-      attribution (begun-at-site residency) being exact; and with two or
-      more waiters the oldest is never the victim of either rule.
+      local transaction the GTM cannot see — the {e youngest waiter past
+      the deadline} is killed. Later arrivals queued behind it are spared:
+      killing them frees nothing, and their retries would take their
+      place. The set of waiters past the deadline shrinks on every tick
+      the breach persists, so every wait stays bounded and
+      deadlock-freedom does not depend on the conflict attribution
+      (begun-at-site residency) being exact; and with two or more waiters
+      past the deadline the oldest is never the victim of either rule.
 
     The caller (one decision per ticker tick) remains responsible for the
     global-quiescence safety valve behind both rules. *)
@@ -34,6 +40,9 @@ type waiter = {
   w_birth : int;  (** Age stamp: the gid of the logical txn's first attempt. *)
   w_site : Types.sid;  (** The site the transaction is blocked inside. *)
   w_since : float;  (** When the site answered [Waiting] (per-txn clock). *)
+  w_wounded : int list;
+      (** Births of the transactions this waiter already wounded while
+          blocked since [w_since]. *)
 }
 
 type resident = {
@@ -64,7 +73,8 @@ type decision =
           wounder's blocked site. *)
   | Timeout of Types.gid
       (** Hard-deadline kill: some waiter breached [deadline_ms] with no
-          woundable conflict anywhere; the victim is the youngest waiter. *)
+          woundable conflict anywhere; the victim is the youngest waiter
+          past the deadline. *)
   | No_kill
 
 val decide :

@@ -268,8 +268,13 @@ let wal_bound_without_watermark () =
      log. Without it the WAL would retain all ~1200 records. *)
   let params = { tiny with Lsm.memtable_entries = 64 } in
   let t = ref (Lsm.open_dir ~params dir) in
+  let durable = ref 0 in
   for tid = 1 to 150 do
-    committed_write !t tid (List.init 6 (fun k -> (k, tid)))
+    committed_write !t tid (List.init 6 (fun k -> (k, tid)));
+    (* A checkpoint shrinks the log file, never the durable-bytes count. *)
+    check_bool "durable bytes never decrease" true
+      (Lsm.durable_bytes !t >= !durable);
+    durable := Lsm.durable_bytes !t
   done;
   let st = Lsm.stats !t in
   check_bool "bound trigger checkpointed" true (st.Lsm.wal_rotations > 1);
@@ -284,6 +289,42 @@ let wal_bound_without_watermark () =
   check_bool "disk predicts storage after recovery" true
     (disk_predicts_storage dir !t);
   Lsm.close !t;
+  rm_rf dir
+
+(* One long-lived transaction whose records alone exceed the checkpoint
+   bound: a checkpoint cannot drop them, so the trigger must wait for the
+   reclaimable part of the log to reach the bound instead of rewriting
+   the log at every group-commit sync. *)
+let wal_checkpoint_no_storm () =
+  let dir = fresh_dir () in
+  let params =
+    { tiny with Lsm.memtable_entries = 1024; wal_checkpoint_records = 8 }
+  in
+  let t = Lsm.open_dir ~params dir in
+  Lsm.wal_append t (Group_wal.Begin 99);
+  for k = 0 to 8 do
+    Lsm.wal_append t (Group_wal.Write (99, key (100 + k), 0, 1));
+    Lsm.set t (key (100 + k)) 1
+  done;
+  Lsm.wal_sync t;
+  let before = (Lsm.stats t).Lsm.wal_rotations in
+  let commits = 6 in
+  for tid = 1 to commits do
+    committed_write t tid [ (tid, tid) ]
+  done;
+  let rotations = (Lsm.stats t).Lsm.wal_rotations - before in
+  check_bool "reclaimable records still trigger checkpoints" true
+    (rotations > 0);
+  check_bool "rotations do not grow with every sync" true
+    (rotations < commits);
+  let records, _ = Group_wal.read_file (Filename.concat dir "wal.log") in
+  check_bool "open transaction's records survive" true
+    (List.length
+       (List.filter
+          (function Group_wal.Write (99, _, _, _) -> true | _ -> false)
+          records)
+    = 9);
+  Lsm.close t;
   rm_rf dir
 
 let lossy_crash_loses_only_unacked () =
@@ -592,6 +633,7 @@ let () =
           Alcotest.test_case "torn-tail" `Quick wal_torn_tail_truncated;
           Alcotest.test_case "group-commit" `Quick wal_group_commit_batches;
           Alcotest.test_case "checkpoint" `Quick wal_checkpoint_bounds_log;
+          Alcotest.test_case "checkpoint-no-storm" `Quick wal_checkpoint_no_storm;
           Alcotest.test_case "checkpoint-no-watermark" `Quick
             wal_bound_without_watermark;
           Alcotest.test_case "lossy-crash" `Quick lossy_crash_loses_only_unacked;

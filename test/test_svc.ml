@@ -19,6 +19,11 @@ module Certificate = Mdbs_analysis.Certificate
 module Incremental = Mdbs_analysis.Incremental
 module Live_cert = Mdbs_svc.Live_cert
 module Rng = Mdbs_util.Rng
+module Local_dbms = Mdbs_site.Local_dbms
+module Types = Mdbs_model.Types
+module Op = Mdbs_model.Op
+module Txn = Mdbs_model.Txn
+module Item = Mdbs_model.Item
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -237,7 +242,9 @@ let atomic_commit_run () =
 
 (* Open-loop serve mode with retries off: every arrival is either accepted
    by the admission lane or rejected by backpressure, and the drained run
-   still certifies. *)
+   still certifies. Locals count in [offered], so their commits must count
+   in the commit ratio too: a read-only mix on 2PL sites never conflicts,
+   so every arrival commits and the ratio is exactly 1. *)
 let serve_accounting () =
   let s =
     Serve.run ~quiet:true
@@ -248,6 +255,22 @@ let serve_accounting () =
     (s.Serve.accepted + s.Serve.rejected_backpressure);
   check_bool "made progress" true
     (s.Serve.run.Runtime.run_stats.Runtime.committed > 0);
+  check_bool "certified" true s.Serve.run.Runtime.certified;
+  let read_only =
+    { (wl 3) with
+      Workload.write_ratio = 0.;
+      protocols = [ Types.Two_phase_locking ] }
+  in
+  let s =
+    Serve.run ~quiet:true
+      (Serve.config ~wl:read_only ~rate:200. ~duration_s:0.5
+         ~local_fraction:0.25 ~retry:Retry.off ~seed:22 Registry.S3)
+  in
+  let st = s.Serve.run.Runtime.run_stats in
+  check_int "no global aborted" 0 st.Runtime.aborted;
+  check_int "nothing refused" 0 (s.Serve.rejected_backpressure + s.Serve.shed);
+  Alcotest.(check (float 1e-9)) "locals count as committed" 1.0
+    s.Serve.commit_ratio;
   check_bool "certified" true s.Serve.run.Runtime.certified
 
 (* The summary distinguishes the two relief valves: mailbox backpressure
@@ -340,7 +363,7 @@ let wound_never_kills_oldest =
       let waiters =
         List.init n (fun i ->
             { Wound.w_gid = i; w_birth = nth births i; w_site = nth sites i;
-              w_since = now -. nth waits i })
+              w_since = now -. nth waits i; w_wounded = [] })
       in
       (* Ring residency: member i holds state at its own blocked site and at
          its successor's, so every waiter has a conflicting resident. *)
@@ -425,64 +448,210 @@ let wound_retry_no_double_visit () =
   check_int "all settled" r.Loadgen.submitted
     (r.Loadgen.committed + r.Loadgen.aborted)
 
-(* QCheck: sharded scheduling is certified under arbitrary site footprints.
-   Random m, shard count, seed and locality produce runs whose globals
-   split arbitrarily between the single-shard fast path and the sequencer's
-   spanning slow path; every realized interleaving must settle everything
-   and certify against the same Theorem-2 obligations the single-shard
-   runtime answers to — the obligations don't know shards exist. *)
-let sharded_run_gen =
+(* QCheck: one GTM settles and certifies under arbitrary site footprints.
+   Random m up to 8 sites, locality, site-group count, hotspot and
+   admission bound produce globals confined to one group or spanning
+   several, admitted straight through or parked behind max_active; every
+   submission must settle and the realized interleaving must certify
+   against the Theorem-2 obligations. *)
+let footprint_run_gen =
   QCheck.Gen.(
-    let* m = int_range 2 6 in
-    let* shards = int_range 2 m in
-    let* seed = int_bound 999 in
+    let* m = int_range 2 8 in
+    let* locality = float_bound_inclusive 1.0 in
+    let* site_groups = int_range 0 m in
+    let* max_active = oneofl [ 1; 2; 8; 64 ] in
     let* hotspot = int_bound 2 in
-    return (m, shards, seed, hotspot))
+    let* seed = int_bound 999 in
+    return (m, locality, site_groups, max_active, hotspot, seed))
 
-let sharded_run_arb =
+let footprint_run_arb =
   QCheck.make
-    ~print:(fun (m, shards, seed, hotspot) ->
-      Printf.sprintf "m=%d shards=%d seed=%d hotspot=%d" m shards seed hotspot)
-    sharded_run_gen
+    ~print:(fun (m, locality, site_groups, max_active, hotspot, seed) ->
+      Printf.sprintf
+        "m=%d locality=%.2f site_groups=%d max_active=%d hotspot=%d seed=%d" m
+        locality site_groups max_active hotspot seed)
+    footprint_run_gen
 
-let sharded_scheduling_certified =
+let footprint_certified =
   QCheck.Test.make ~name:"sharded scheduling certifies under random footprints"
-    ~count:8 sharded_run_arb
-    (fun (m, shards, seed, hotspot) ->
+    ~count:10 footprint_run_arb
+    (fun (m, locality, site_groups, max_active, hotspot, seed) ->
       let r =
         Loadgen.run
           (Loadgen.config
-             ~wl:{ (wl m) with Workload.hotspot }
-             ~clients:4 ~txns_per_client:4 ~seed ~gtm_shards:shards
-             Registry.S3)
+             ~wl:{ (wl m) with Workload.locality; site_groups; hotspot }
+             ~clients:6 ~txns_per_client:4 ~seed ~max_active Registry.S3)
       in
       r.Loadgen.certified
       && r.Loadgen.violations = 0
       && r.Loadgen.submitted = r.Loadgen.committed + r.Loadgen.aborted)
 
 (* Certified differential across 13 seeds: the same seeded workload run
-   unsharded and with one shard per site (maximal spanning traffic). Both
-   runs must settle every submission and certify clean — sharding is a
-   scheduling change, not a correctness change, and the certifier holds it
-   to the single-shard obligations. *)
-let shard_differential seed () =
-  let base ~gtm_shards =
-    Loadgen.config ~wl:(wl 4) ~clients:6 ~txns_per_client:4 ~seed ~gtm_shards
+   with admission unbounded and with max_active 2, which parks most of the
+   six clients' admissions — the throttle that replaced sharded GTM2
+   scheduling. Both runs must settle every submission and certify clean:
+   the admission bound is a scheduling change, not a correctness change. *)
+let throttle_differential seed () =
+  let base ~max_active =
+    Loadgen.config ~wl:(wl 4) ~clients:6 ~txns_per_client:4 ~seed ~max_active
       Registry.S3
   in
-  let unsharded = Loadgen.run (base ~gtm_shards:1) in
-  let sharded = Loadgen.run (base ~gtm_shards:4) in
-  check_bool "unsharded certified" true unsharded.Loadgen.certified;
-  check_bool "sharded certified" true sharded.Loadgen.certified;
-  check_int "same logical offer" unsharded.Loadgen.submitted
-    sharded.Loadgen.submitted;
-  check_int "unsharded all settled" unsharded.Loadgen.submitted
-    (unsharded.Loadgen.committed + unsharded.Loadgen.aborted);
-  check_int "sharded all settled" sharded.Loadgen.submitted
-    (sharded.Loadgen.committed + sharded.Loadgen.aborted);
-  check_int "unsharded crosses nothing" 0 unsharded.Loadgen.cross_shard;
-  check_bool "spanning path exercised" true
-    (sharded.Loadgen.cross_shard > 0)
+  let unbounded = Loadgen.run (base ~max_active:64) in
+  let throttled = Loadgen.run (base ~max_active:2) in
+  check_bool "unbounded certified" true unbounded.Loadgen.certified;
+  check_bool "throttled certified" true throttled.Loadgen.certified;
+  check_int "unbounded violations" 0 unbounded.Loadgen.violations;
+  check_int "throttled violations" 0 throttled.Loadgen.violations;
+  check_int "same logical offer" unbounded.Loadgen.submitted
+    throttled.Loadgen.submitted;
+  check_int "unbounded all settled" unbounded.Loadgen.submitted
+    (unbounded.Loadgen.committed + unbounded.Loadgen.aborted);
+  check_int "throttled all settled" throttled.Loadgen.submitted
+    (throttled.Loadgen.committed + throttled.Loadgen.aborted)
+
+(* Fault injection for the in-flight races below: sites [0 .. m-1] with
+   [protocols] assigned cyclically, and site 1's op tap holding [tid]'s
+   Begin on the worker, before the reply leaves, until [release] is set.
+   [write s v] is a subtransaction writing v to key 0 at site s. *)
+let sites_holding_begin ?(protocols = [ Types.Two_phase_locking ]) m tid =
+  let sites = Workload.make_sites { (wl m) with Workload.protocols } in
+  let held = Atomic.make false and release = Atomic.make false in
+  Local_dbms.set_op_tap (List.nth sites 1) (fun t action ->
+      if t = tid && action = Op.Begin then begin
+        Atomic.set held true;
+        while not (Atomic.get release) do
+          Unix.sleepf 0.001
+        done
+      end);
+  (sites, held, release)
+
+let write s v = (s, [ Op.Write (Item.Key 0, v) ])
+
+(* Poll [cond] for up to 10 s; on a timeout let the held Begin go, so the
+   worker can exit, and fail. *)
+let wait_for release what cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  if not (cond ()) then begin
+    Atomic.set release true;
+    Alcotest.failf "timed out waiting for %s" what
+  end
+
+(* A global killed while one of its steps is in flight leaves nothing
+   pending to fake-ack, and an in-flight Begin is not yet among the
+   global's begun sites, so the kill's rollback sweep misses that site.
+   The victim's Begin is held at site 1 while an older global blocks
+   behind its write lock at site 0 and wounds it. Once released, the
+   Begin's reply must roll the victim back at site 1: after the drain no
+   site may hold an active subtransaction. [protocol_1] is site 1's
+   protocol: 2PL sends the Begin straight to the site, timestamp ordering
+   routes it through GTM2 as a serialization operation. *)
+let orphan_after_in_flight_kill protocol_1 () =
+  let victim = Txn.global ~id:2 [ write 0 1; write 1 1 ] in
+  let sites, held, release =
+    sites_holding_begin ~protocols:[ Types.Two_phase_locking; protocol_1 ] 2
+      victim.Txn.id
+  in
+  let rt =
+    Runtime.start
+      (Runtime.config ~scheme:(Registry.make Registry.S3) ~sites
+         ~wound_after_ms:10. ~tick_ms:2. ())
+  in
+  let p_victim = Runtime.submit_global rt victim in
+  wait_for release "the held Begin" (fun () -> Atomic.get held);
+  let p_wounder = Runtime.submit_global rt (Txn.global ~id:1 [ write 0 2 ]) in
+  wait_for release "the wound" (fun () -> (Runtime.stats rt).Runtime.wounds > 0);
+  Atomic.set release true;
+  check_bool "victim wounded" true
+    (Promise.await p_victim = Outcome.Aborted "wound");
+  check_bool "wounder committed" true
+    (Promise.await p_wounder = Outcome.Committed);
+  let res = Runtime.shutdown rt in
+  List.iter
+    (fun dbms ->
+      check_int
+        (Printf.sprintf "no active subtransaction at site %d"
+           (Local_dbms.site_id dbms))
+        0
+        (Local_dbms.active_count dbms))
+    sites;
+  check_bool "certified" true res.Runtime.certified
+
+(* Wound-wait must not starve a retry. H (oldest) writes key 0 at site 0
+   and is then held in flight at site 1; W waits for the key behind H,
+   and V's attempts queue behind W. W cannot wound H, so its wait
+   outlives the wound window: it may wound V once, but not V's retries,
+   which inherit V's birth — else they would exhaust V's attempts while
+   W is still blocked. *)
+let wound_once_per_wait () =
+  let h = Txn.global ~id:1 [ write 0 1; write 1 1 ] in
+  let sites, held, release = sites_holding_begin 2 h.Txn.id in
+  let rt =
+    Runtime.start
+      (Runtime.config ~scheme:(Registry.make Registry.S3) ~sites
+         ~wound_after_ms:10. ~tick_ms:2. ~stall_timeout_ms:5000. ())
+  in
+  let p_h = Runtime.submit_global rt h in
+  wait_for release "the held Begin" (fun () -> Atomic.get held);
+  let p_w = Runtime.submit_global rt (Txn.global ~id:2 [ write 0 2 ]) in
+  Unix.sleepf 0.03;
+  (* V's client: the default retry budget, each retry a fresh tid that
+     inherits V's birth. *)
+  let v_outcome = ref (Outcome.Aborted "unsettled") in
+  let v_client =
+    Thread.create
+      (fun () ->
+        let rec go txn k =
+          match Promise.await (Runtime.submit_global rt ~birth:3 txn) with
+          | Outcome.Aborted "wound" when k < Retry.default.Retry.max_attempts ->
+              Unix.sleepf 0.004;
+              go (Txn.with_id txn (Types.fresh_tid ())) (k + 1)
+          | out -> v_outcome := out
+        in
+        go (Txn.global ~id:3 [ write 0 3 ]) 1)
+      ()
+  in
+  (* Long enough for W to wound every one of V's attempts if it may. *)
+  Unix.sleepf 0.3;
+  Atomic.set release true;
+  Thread.join v_client;
+  check_bool "H committed" true (Promise.await p_h = Outcome.Committed);
+  check_bool "W committed" true (Promise.await p_w = Outcome.Committed);
+  check_bool "V committed" true (!v_outcome = Outcome.Committed);
+  let res = Runtime.shutdown rt in
+  check_int "one wound" 1 res.Runtime.run_stats.Runtime.wounds;
+  check_bool "certified" true res.Runtime.certified
+
+(* The hard deadline kills the stalled waiter, not a younger waiter that
+   arrived later. H (oldest) writes key 0 at sites 0 and 2 and is then
+   held in flight at site 1; W waits for the key at site 0, and V, 100 ms
+   later, at site 2. Neither has a younger resident to wound at its site.
+   When W passes the deadline it is W that dies: killing V, the youngest
+   waiter, would free nothing W needs. Releasing H then lets V through. *)
+let deadline_spares_later_arrivals () =
+  let h = Txn.global ~id:1 [ write 0 1; write 2 1; write 1 1 ] in
+  let sites, held, release = sites_holding_begin 3 h.Txn.id in
+  let rt =
+    Runtime.start
+      (Runtime.config ~scheme:(Registry.make Registry.S3) ~sites ~tick_ms:2.
+         ~stall_timeout_ms:200. ())
+  in
+  let p_h = Runtime.submit_global rt h in
+  wait_for release "the held Begin" (fun () -> Atomic.get held);
+  let p_w = Runtime.submit_global rt (Txn.global ~id:2 [ write 0 2 ]) in
+  Unix.sleepf 0.1;
+  let p_v = Runtime.submit_global rt (Txn.global ~id:3 [ write 2 3 ]) in
+  wait_for release "the deadline kill" (fun () ->
+      (Runtime.stats rt).Runtime.stall_kills > 0);
+  Atomic.set release true;
+  check_bool "W, stalled past the deadline, killed" true
+    (Promise.await p_w = Outcome.Aborted "stall-deadline");
+  check_bool "V committed" true (Promise.await p_v = Outcome.Committed);
+  check_bool "H committed" true (Promise.await p_h = Outcome.Committed);
+  let res = Runtime.shutdown rt in
+  check_bool "certified" true res.Runtime.certified
 
 (* Admission shedding: a burst far beyond max_active with a parked bound of
    one makes the GTM refuse admissions before any per-site state exists.
@@ -744,6 +913,13 @@ let () =
         :: QCheck_alcotest.to_alcotest wound_never_kills_oldest
         :: Alcotest.test_case "wound-retry-no-double-visit" `Quick
              wound_retry_no_double_visit
+        :: Alcotest.test_case "orphan-begin-direct" `Quick
+             (orphan_after_in_flight_kill Types.Two_phase_locking)
+        :: Alcotest.test_case "orphan-begin-ser" `Quick
+             (orphan_after_in_flight_kill Types.Timestamp_ordering)
+        :: Alcotest.test_case "wound-once-per-wait" `Quick wound_once_per_wait
+        :: Alcotest.test_case "deadline-spares-later-arrivals" `Quick
+             deadline_spares_later_arrivals
         :: Alcotest.test_case "shed-burst" `Quick shed_under_burst
         :: Alcotest.test_case "duplicate-admission" `Quick
              duplicate_admission_refused
@@ -752,13 +928,15 @@ let () =
                Alcotest.test_case
                  (Printf.sprintf "retry-differential-seed-%d" seed)
                  `Quick (retry_differential seed)) );
+      (* The suite and case names predate the removal of sharded GTM2
+         scheduling (DESIGN §17); every run here is one GTM. *)
       ( "sharded",
-        QCheck_alcotest.to_alcotest sharded_scheduling_certified
+        QCheck_alcotest.to_alcotest footprint_certified
         :: List.init 13 (fun i ->
                let seed = i + 1 in
                Alcotest.test_case
                  (Printf.sprintf "shard-differential-seed-%d" seed)
-                 `Quick (shard_differential seed)) );
+                 `Quick (throttle_differential seed)) );
       ( "faults",
         [ Alcotest.test_case "site-crash" `Quick site_crash_graceful ] );
       ( "live-cert",
