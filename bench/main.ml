@@ -219,13 +219,15 @@ let gtm_sched_batched_bench =
 (* Runtime-level: a whole (small) certified closed-loop run, domains and
    all — end-to-end cost of the batched service hot path. *)
 let runtime_loadgen_bench =
+  let wl = { Workload.default with m = 2; data_per_site = 16 } in
   Test.make ~name:"svc runtime loadgen scheme3 (m=2, 4 clients x 3)"
     (Staged.stage (fun () ->
          ignore
            (Mdbs_svc.Loadgen.run
-              (Mdbs_svc.Loadgen.config
-                 ~wl:{ Workload.default with m = 2; data_per_site = 16 }
-                 ~clients:4 ~txns_per_client:3 ~seed:11 Registry.S3))))
+              (Mdbs_svc.Runtime.config ~scheme:(Registry.make Registry.S3)
+                 ~sites:(Workload.make_sites wl) ())
+              (Mdbs_svc.Loadgen.config ~seed:11 ~wl
+                 (Closed { clients = 4; txns_per_client = 3 })))))
 
 (* Streaming-certifier throughput: feed a prebuilt clean event stream
    (the event sequence of [n] sequential 2-site global transactions)

@@ -7,9 +7,9 @@
      simulate     run the end-to-end MDBS simulation under one scheme
      des          timed discrete-event simulation
      chaos        fault-injecting runs, every one certified
-     serve        open-loop parallel service runtime (OCaml 5 domains)
-     loadgen      closed-loop load generation against the service runtime
-     bench-compare diff two loadgen baselines, fail on throughput regressions
+     serve        open-loop load on the parallel service runtime
+     loadgen      closed-loop load on it; both run the one load driver
+     recover      audit LSM site directories against their WALs offline
      analyze      statically certify and lint a recorded schedule *)
 
 module Registry = Mdbs_core.Registry
@@ -509,7 +509,6 @@ let chaos_cmd =
 (* ---------------------------------------------------------- serve/loadgen *)
 
 module Loadgen = Mdbs_svc.Loadgen
-module Serve = Mdbs_svc.Serve
 module Runtime = Mdbs_svc.Runtime
 
 let certify_conv =
@@ -530,8 +529,16 @@ let certify_conv =
   in
   Arg.conv (parse, print)
 
-(* Flags shared by the two service-runtime commands. *)
+(* Flags shared by the two service-runtime commands. The term's value runs
+   the load driver under them, given a progress-line period and the load
+   shape its command supplies: it builds the workload and the runtime
+   config, drives the load, exports what the observability flags asked for
+   and prints the report. Exit 1 when the run is uncertified, 3 on an SLO
+   breach. *)
 let svc_flags =
+  let scheme =
+    Arg.(value & opt scheme_conv Registry.S3 & info [ "scheme" ] ~docv:"SCHEME")
+  in
   let sites = Arg.(value & opt int 4 & info [ "sites"; "m" ] ~docv:"M") in
   let data =
     Arg.(value & opt int 32 & info [ "data" ] ~docv:"K" ~doc:"Items per site.")
@@ -570,11 +577,6 @@ let svc_flags =
     Arg.(value & opt float 5. & info [ "tick-ms" ] ~docv:"MS"
            ~doc:"Runtime ticker period: how often the stall detector \
                  re-examines blocked transactions.")
-  in
-  let retry_on =
-    Arg.(value & flag & info [ "retry" ]
-           ~doc:"Retry aborted/shed transactions with seeded exponential \
-                 backoff (this is the default; the flag makes it explicit).")
   in
   let no_retry =
     Arg.(value & flag & info [ "no-retry" ]
@@ -633,48 +635,59 @@ let svc_flags =
            ~doc:"Number of contiguous site groups --locality confines \
                  transactions to (0 = disabled).")
   in
-  Term.(
-    const
-      (fun m data d_av hotspot local seed atomic capacity max_active stall
-           wound tick retry_on no_retry max_attempts backoff backoff_cap
-           shed_parked shed_blocked certify cert_every zipf locality
-           site_groups ->
-        ignore retry_on;
-        let retry =
-          (* Retries are on by default; --no-retry wins over --retry. *)
-          if no_retry then Mdbs_svc.Retry.off
-          else
-            Mdbs_svc.Retry.policy ~max_attempts ~base_ms:backoff
-              ~cap_ms:backoff_cap ()
-        in
-        ( m, data, d_av, hotspot, local, seed, atomic, capacity, max_active,
-          stall, tick, certify, cert_every,
-          (retry, wound, shed_parked, shed_blocked),
-          (zipf, locality, site_groups) ))
-    $ sites $ data $ d_av $ hotspot $ local $ seed $ atomic $ capacity
-    $ max_active $ stall $ wound $ tick $ retry_on $ no_retry $ max_attempts
-    $ backoff $ backoff_cap $ shed_parked $ shed_blocked $ certify
-    $ cert_every $ zipf $ locality $ site_groups)
-
-let loadgen_config ?(telemetry = (None, None, 1000., [], None))
-    ?(backend = `Mem) ?lsm_params kind
-    (m, data, d_av, hotspot, local, seed, atomic, capacity, max_active, stall,
-     tick, certify, cert_every, (retry, wound, shed_parked, shed_blocked),
-     (zipf_theta, locality, site_groups))
-    clients txns obs =
-  let wl =
-    { Workload.default with
-      m; data_per_site = data; d_av; hotspot; backend; lsm_params;
-      zipf_theta; locality; site_groups }
+  let json =
+    Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
   in
-  let t_out, om_out, interval, slos, flight = telemetry in
-  Loadgen.config ~wl ~clients ~txns_per_client:txns ~local_fraction:local
-    ~seed ~retry ~atomic_commit:atomic ~capacity ~max_active
-    ~stall_timeout_ms:stall ?wound_after_ms:wound ~tick_ms:tick
-    ?shed_parked ?shed_blocked ~obs ~certify
-    ~cert_checkpoint_every:cert_every ?telemetry_out:t_out
-    ?openmetrics_out:om_out ~telemetry_interval_ms:interval ~slos
-    ?flight_dump:flight kind
+  let run kind m data d_av hotspot local seed atomic_commit capacity
+      max_active stall wound tick no_retry max_attempts backoff backoff_cap
+      shed_parked shed_blocked certify cert_every zipf_theta locality
+      site_groups json obsf telemf backf report_every_s load =
+    let retry =
+      if no_retry then Mdbs_svc.Retry.off
+      else
+        Mdbs_svc.Retry.policy ~max_attempts ~base_ms:backoff
+          ~cap_ms:backoff_cap ()
+    in
+    let backend, lsm_params = resolve_backend backf in
+    let wl =
+      { Workload.default with
+        m; data_per_site = data; d_av; hotspot; backend; lsm_params;
+        zipf_theta; locality; site_groups }
+    in
+    let cfg =
+      Loadgen.config ~local_fraction:local ~seed ~retry ?report_every_s ~wl
+        load
+    in
+    let obs = make_obs ~force_metrics:(telemetry_enabled telemf) obsf in
+    let telemetry_out, openmetrics_out, telemetry_interval_ms, slos,
+        flight_dump =
+      telemf
+    in
+    let r =
+      Loadgen.run
+        (Runtime.config ~atomic_commit ~capacity ~max_active
+           ~stall_timeout_ms:stall ?wound_after_ms:wound ~tick_ms:tick
+           ?shed_parked ?shed_blocked ~obs ~certify
+           ~cert_checkpoint_every:cert_every ?telemetry_out
+           ?openmetrics_out ~telemetry_interval_ms ~slos ?flight_dump
+           ~scheme:(Registry.make kind) ~sites:(Workload.make_sites wl) ())
+        cfg
+    in
+    export_obs obsf obs;
+    if json then
+      print_endline
+        (Mdbs_util.Json.to_string
+           (Loadgen.report_to_json ~profile:obs.Obs.profile r))
+    else Format.printf "%a" Loadgen.print_report r;
+    if not r.Loadgen.certified then exit 1;
+    slo_exit r.Loadgen.run.Runtime.slo
+  in
+  Term.(
+    const run $ scheme $ sites $ data $ d_av $ hotspot $ local $ seed $ atomic
+    $ capacity $ max_active $ stall $ wound $ tick $ no_retry $ max_attempts
+    $ backoff $ backoff_cap $ shed_parked $ shed_blocked $ certify
+    $ cert_every $ zipf $ locality $ site_groups $ json $ obs_flags
+    $ telemetry_flags $ backend_flags)
 
 let loadgen_cmd =
   let doc =
@@ -687,112 +700,23 @@ let loadgen_cmd =
       `P
         "Starts the real concurrent runtime — one worker domain per site, a \
          GTM domain running admission plus the GTM2 scheduler — and drives \
-         it with $(b,--clients) closed-loop client threads. Reports \
-         committed throughput and end-to-end latency percentiles, and \
-         certifies the captured interleaving against the paper's Theorem-2 \
-         obligations (exit 1 if certification fails).";
-      `P
-        "$(b,--bench-out) sweeps schemes 0..3 over site counts 2, 4 and 8 \
-         and writes the results as a JSON benchmark baseline.";
+         it with $(b,--clients) closed-loop clients, all played by one \
+         driver thread. Reports goodput and latency percentiles timed from \
+         when each transaction was due, and certifies the captured \
+         interleaving against the paper's Theorem-2 obligations (exit 1 if \
+         certification fails).";
     ]
-  in
-  let scheme =
-    Arg.(value & opt scheme_conv Registry.S3 & info [ "scheme" ] ~docv:"SCHEME")
   in
   let clients = Arg.(value & opt int 32 & info [ "clients" ] ~docv:"N") in
   let txns =
     Arg.(value & opt int 25 & info [ "txns" ] ~docv:"N"
            ~doc:"Transactions per client.")
   in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.") in
-  let bench_out =
-    Arg.(value & opt (some string) None & info [ "bench-out" ] ~docv:"FILE"
-           ~doc:"Run the scheme x site-count grid and write a JSON baseline.")
-  in
-  let run kind svcf clients txns json bench_out obsf telemf backf =
-    let backend, lsm_params = resolve_backend backf in
-    let obs = make_obs ~force_metrics:(telemetry_enabled telemf) obsf in
-    match bench_out with
-    | Some file ->
-        let m0, data, d_av, hotspot, local, seed, atomic, capacity, max_active,
-            stall, tick, certify, cert_every, rob, knobs =
-          svcf
-        in
-        ignore m0;
-        let retry, _, _, _ = rob in
-        let grid =
-          List.concat_map
-            (fun k ->
-              List.map
-                (fun m ->
-                  (* Each grid run gets its own LSM root: reusing one would
-                     recover the previous run's state. *)
-                  let backend =
-                    match backend with
-                    | `Mem -> `Mem
-                    | `Lsm base ->
-                        `Lsm
-                          (Filename.concat base
-                             (Printf.sprintf "%s-m%d" (Registry.name k) m))
-                  in
-                  let cfg =
-                    loadgen_config ~backend ?lsm_params k
-                      (m, data, d_av, hotspot, local, seed, atomic, capacity,
-                       max_active, stall, tick, certify, cert_every, rob,
-                       knobs)
-                      clients txns Obs.disabled
-                  in
-                  Printf.eprintf "bench: %s m=%d...\n%!" (Registry.name k) m;
-                  Loadgen.run cfg)
-                [ 2; 4; 8 ])
-            Registry.all
-        in
-        let doc =
-          Mdbs_util.Json.Obj
-            [
-              ("benchmark", Mdbs_util.Json.Str "mdbs loadgen");
-              ("clients", Mdbs_util.Json.Int clients);
-              ("txns_per_client", Mdbs_util.Json.Int txns);
-              ("seed", Mdbs_util.Json.Int seed);
-              (* Ints, not bools: bench-compare's workload-shape warning
-                 reads numbers. *)
-              ( "retry",
-                Mdbs_util.Json.Int
-                  (if Mdbs_svc.Retry.enabled retry then 1 else 0) );
-              ( "max_attempts",
-                Mdbs_util.Json.Int retry.Mdbs_svc.Retry.max_attempts );
-              ( "runs",
-                Mdbs_util.Json.List (List.map Loadgen.report_to_json grid) );
-            ]
-        in
-        let oc = open_out file in
-        output_string oc (Mdbs_util.Json.to_string doc);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s (%d runs, %s)\n" file (List.length grid)
-          (if List.for_all (fun r -> r.Loadgen.certified) grid then
-             "all certified"
-           else "CERTIFICATION FAILURES");
-        if not (List.for_all (fun r -> r.Loadgen.certified) grid) then exit 1
-    | None ->
-        let r =
-          Loadgen.run
-            (loadgen_config ~telemetry:telemf ~backend ?lsm_params kind svcf
-               clients txns obs)
-        in
-        export_obs obsf obs;
-        if json then
-          print_endline
-            (Mdbs_util.Json.to_string
-               (Loadgen.report_to_json ~profile:obs.Obs.profile r))
-        else Format.printf "%a" Loadgen.print_report r;
-        if not r.Loadgen.certified then exit 1;
-        slo_exit r.Loadgen.run.Mdbs_svc.Runtime.slo
-  in
   Cmd.v (Cmd.info "loadgen" ~doc ~man)
     Term.(
-      const run $ scheme $ svc_flags $ clients $ txns $ json $ bench_out
-      $ obs_flags $ telemetry_flags $ backend_flags)
+      const (fun run clients txns ->
+          run None (Loadgen.Closed { clients; txns_per_client = txns }))
+      $ svc_flags $ clients $ txns)
 
 let serve_cmd =
   let doc = "Open-loop service mode: Poisson arrivals, admission control" in
@@ -809,9 +733,6 @@ let serve_cmd =
          final run is certified like every other.";
     ]
   in
-  let scheme =
-    Arg.(value & opt scheme_conv Registry.S3 & info [ "scheme" ] ~docv:"SCHEME")
-  in
   let rate =
     Arg.(value & opt float 200. & info [ "rate" ] ~docv:"TPS"
            ~doc:"Offered arrival rate (Poisson).")
@@ -820,121 +741,13 @@ let serve_cmd =
     Arg.(value & opt float 5. & info [ "duration" ] ~docv:"S")
   in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"No progress lines.") in
-  let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the summary as JSON.") in
-  let run kind svcf rate duration quiet json obsf telemf backf =
-    let backend, lsm_params = resolve_backend backf in
-    let m, data, d_av, hotspot, local, seed, atomic, capacity, max_active,
-        stall, tick, certify, cert_every, (retry, wound, shed_p, shed_b),
-        (zipf_theta, locality, site_groups) =
-      svcf
-    in
-    let wl =
-      { Workload.default with
-        m; data_per_site = data; d_av; hotspot; backend; lsm_params;
-        zipf_theta; locality; site_groups }
-    in
-    let obs = make_obs ~force_metrics:(telemetry_enabled telemf) obsf in
-    let t_out, om_out, interval, slos, flight = telemf in
-    let s =
-      Serve.run ~quiet
-        (Serve.config ~wl ~rate ~duration_s:duration ~local_fraction:local
-           ~seed ~retry ~atomic_commit:atomic ~capacity ~max_active
-           ~stall_timeout_ms:stall ?wound_after_ms:wound ~tick_ms:tick
-           ?shed_parked:shed_p ?shed_blocked:shed_b ~obs ~certify
-           ~cert_checkpoint_every:cert_every ?telemetry_out:t_out
-           ?openmetrics_out:om_out ~telemetry_interval_ms:interval ~slos
-           ?flight_dump:flight kind)
-    in
-    export_obs obsf obs;
-    let res = s.Serve.run in
-    let st = res.Mdbs_svc.Runtime.run_stats in
-    if json then
-      print_endline
-        (Mdbs_util.Json.to_string
-           (Mdbs_util.Json.Obj
-              [
-                ("scheme", Mdbs_util.Json.Str res.Mdbs_svc.Runtime.scheme_name);
-                ( "backend",
-                  Mdbs_util.Json.Str
-                    (match backend with `Mem -> "mem" | `Lsm _ -> "lsm") );
-                ( "durable_bytes",
-                  Mdbs_util.Json.Int res.Mdbs_svc.Runtime.durable_bytes );
-                ("offered", Mdbs_util.Json.Int s.Serve.offered);
-                ("accepted", Mdbs_util.Json.Int s.Serve.accepted);
-                ( "rejected_backpressure",
-                  Mdbs_util.Json.Int s.Serve.rejected_backpressure );
-                ("shed", Mdbs_util.Json.Int s.Serve.shed);
-                ("retries", Mdbs_util.Json.Int s.Serve.retries);
-                ("committed", Mdbs_util.Json.Int st.Mdbs_svc.Runtime.committed);
-                ("aborted", Mdbs_util.Json.Int st.Mdbs_svc.Runtime.aborted);
-                ("commit_ratio", Mdbs_util.Json.Float s.Serve.commit_ratio);
-                ("elapsed_s", Mdbs_util.Json.Float s.Serve.elapsed_s);
-                ("goodput_txn_s", Mdbs_util.Json.Float s.Serve.goodput);
-                ( "force_aborts",
-                  Mdbs_util.Json.Int st.Mdbs_svc.Runtime.force_aborts );
-                ("wounds", Mdbs_util.Json.Int st.Mdbs_svc.Runtime.wounds);
-                ( "aborts_by_cause",
-                  Mdbs_util.Json.Obj
-                    (List.map
-                       (fun (c, n) -> (c, Mdbs_util.Json.Int n))
-                       st.Mdbs_svc.Runtime.abort_causes) );
-                ( "certified",
-                  Mdbs_util.Json.Bool res.Mdbs_svc.Runtime.certified );
-                ( "live_certification",
-                  match res.Mdbs_svc.Runtime.live with
-                  | Some ls -> Mdbs_svc.Live_cert.summary_to_json ls
-                  | None -> Mdbs_util.Json.Null );
-                ( "slo",
-                  match res.Mdbs_svc.Runtime.slo with
-                  | Some sl -> Mdbs_obs.Slo.summary_to_json sl
-                  | None -> Mdbs_util.Json.Null );
-                ( "flight_dumps",
-                  Mdbs_util.Json.List
-                    (List.map
-                       (fun (reason, path) ->
-                         Mdbs_util.Json.Obj
-                           [
-                             ("reason", Mdbs_util.Json.Str reason);
-                             ("path", Mdbs_util.Json.Str path);
-                           ])
-                       res.Mdbs_svc.Runtime.flight_dumps) );
-                ( "profile",
-                  if Mdbs_obs.Profile.enabled obs.Obs.profile then
-                    Mdbs_obs.Profile.to_json obs.Obs.profile
-                  else Mdbs_util.Json.Null );
-              ]))
-    else
-      Printf.printf
-        "scheme %s: offered %d, committed %d (ratio %.3f, goodput %.1f \
-         txn/s); accepted %d, rejected %d (backpressure), shed %d, retries \
-         %d; aborted %d (%d forced, %d wounds); certified %s\n"
-        res.Mdbs_svc.Runtime.scheme_name s.Serve.offered
-        st.Mdbs_svc.Runtime.committed s.Serve.commit_ratio s.Serve.goodput
-        s.Serve.accepted s.Serve.rejected_backpressure s.Serve.shed
-        s.Serve.retries st.Mdbs_svc.Runtime.aborted
-        st.Mdbs_svc.Runtime.force_aborts st.Mdbs_svc.Runtime.wounds
-        (if res.Mdbs_svc.Runtime.certified then "yes" else "NO");
-    (if not json then
-       match res.Mdbs_svc.Runtime.slo with
-       | None -> ()
-       | Some sl ->
-           Printf.printf "SLO: worst %s\n"
-             (Mdbs_obs.Slo.verdict_to_string sl.Mdbs_obs.Slo.worst);
-           List.iter
-             (fun o ->
-               Printf.printf "  %s — %s (%d/%d bad windows, %d breach)\n"
-                 o.Mdbs_obs.Slo.o_spec.Mdbs_obs.Slo.src
-                 (Mdbs_obs.Slo.verdict_to_string o.Mdbs_obs.Slo.o_worst)
-                 o.Mdbs_obs.Slo.o_bad o.Mdbs_obs.Slo.o_windows
-                 o.Mdbs_obs.Slo.o_breaches)
-             sl.Mdbs_obs.Slo.objectives);
-    if not res.Mdbs_svc.Runtime.certified then exit 1;
-    slo_exit res.Mdbs_svc.Runtime.slo
-  in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ scheme $ svc_flags $ rate $ duration $ quiet $ json
-      $ obs_flags $ telemetry_flags $ backend_flags)
+      const (fun run rate duration quiet ->
+          run
+            (if quiet then None else Some 1.)
+            (Loadgen.Open { rate; duration_s = duration }))
+      $ svc_flags $ rate $ duration $ quiet)
 
 (* ---------------------------------------------------------------- recover *)
 
@@ -1072,259 +885,6 @@ let recover_cmd =
     if not all_ok then exit 1
   in
   Cmd.v (Cmd.info "recover" ~doc ~man) Term.(const run $ data_dir $ json)
-
-(* ---------------------------------------------------------- bench-compare *)
-
-let bench_compare_cmd =
-  let doc = "Compare two loadgen benchmark baselines; fail on regressions" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Reads two JSON baselines produced by $(b,mdbs loadgen --bench-out), \
-         matches runs by (scheme, sites, backend), and reports the \
-         throughput, goodput and commit-ratio delta of every matched run. \
-         Exits 1 when \
-         any matched run's throughput or goodput regressed by more than \
-         $(b,--threshold) percent (default 10), when its commit ratio \
-         dropped by more than $(b,--max-commit-drop) percentage points \
-         (default 15), or when a run in the old baseline has no \
-         counterpart in the new one; exits 2 on a file or parse error. Use \
-         it as a CI guard against accidental hot-path regressions — a \
-         faster scheduler that aborts its way to throughput is not an \
-         optimization, which is why the commit-ratio and goodput gates \
-         exist. Machine-independent gating: commit ratio is deterministic \
-         under a seed, so CI can hard-gate on --max-commit-drop with a \
-         huge --threshold to neutralize runner noise.";
-    ]
-  in
-  let old_file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"OLD.json")
-  in
-  let new_file =
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW.json")
-  in
-  let threshold =
-    Arg.(value & opt float 10. & info [ "threshold" ] ~docv:"PCT"
-           ~doc:"Maximum tolerated throughput drop, in percent.")
-  in
-  let max_commit_drop =
-    Arg.(value & opt float 15. & info [ "max-commit-drop" ] ~docv:"PP"
-           ~doc:"Maximum tolerated commit-ratio drop, in percentage points \
-                 (committed/submitted, old vs new).")
-  in
-  let timeseries =
-    Arg.(value & opt (some file) None & info [ "timeseries" ] ~docv:"FILE"
-           ~doc:"Telemetry JSONL (from $(b,--telemetry-out)) to gate on \
-                 worst-window tail latency; requires \
-                 $(b,--max-window-p99).")
-  in
-  let max_window_p99 =
-    Arg.(value & opt (some float) None & info [ "max-window-p99" ] ~docv:"MS"
-           ~doc:"Fail when any telemetry window's p99 of the gated \
-                 histogram exceeds MS — catches transient stalls that an \
-                 end-of-run percentile averages away.")
-  in
-  let window_metric =
-    Arg.(value & opt string "svc_response_ms" & info [ "window-metric" ]
-           ~docv:"NAME"
-           ~doc:"Histogram the $(b,--max-window-p99) gate reads.")
-  in
-  let run old_file new_file threshold max_commit_drop timeseries
-      max_window_p99 window_metric =
-    let module Json = Mdbs_util.Json in
-    let fail_usage msg =
-      prerr_endline ("mdbs bench-compare: " ^ msg);
-      exit 2
-    in
-    let load file =
-      let ic = open_in_bin file in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Json.of_string s with
-      | Ok doc -> doc
-      | Error msg -> fail_usage (Printf.sprintf "%s: %s" file msg)
-    in
-    (* One baseline's runs as ((scheme, sites, backend), (throughput,
-       goodput, commit ratio), certified). Baselines written before the
-       commit counters existed get ratio 1.0 (no gate); ones without a
-       goodput field fall back to throughput (pre-retry baselines, where
-       every settled attempt was a logical transaction); ones without a
-       backend field predate the storage axis and mean "mem". Matching on
-       backend keeps mem and lsm runs in separate columns — a persistent
-       engine is never gated against an in-memory baseline. *)
-    let runs file doc =
-      match Option.bind (Json.member "runs" doc) Json.list_val with
-      | None -> fail_usage (file ^ ": no \"runs\" array")
-      | Some items ->
-          List.map
-            (fun item ->
-              let str k = Option.bind (Json.member k item) Json.string_val in
-              let num k = Option.bind (Json.member k item) Json.number in
-              let bool k = Option.bind (Json.member k item) Json.bool_val in
-              match (str "scheme", num "sites", num "throughput_txn_s") with
-              | Some scheme, Some sites, Some tput ->
-                  let ratio =
-                    match (num "committed", num "submitted") with
-                    | Some c, Some s when s > 0. -> c /. s
-                    | _ -> 1.
-                  in
-                  let goodput =
-                    match num "goodput_txn_s" with
-                    | Some g -> g
-                    | None -> tput
-                  in
-                  let backend =
-                    Option.value ~default:"mem" (str "backend")
-                  in
-                  ( (scheme, int_of_float sites, backend),
-                    (tput, goodput, ratio),
-                    Option.value ~default:false (bool "certified") )
-              | _ -> fail_usage (file ^ ": run missing scheme/sites/throughput"))
-            items
-    in
-    let old_doc = load old_file and new_doc = load new_file in
-    (* Throughput only compares within one workload shape: flag baselines
-       generated with different sweep parameters. *)
-    List.iter
-      (fun k ->
-        let v doc = Option.bind (Json.member k doc) Json.number in
-        match (v old_doc, v new_doc) with
-        | Some a, Some b when a <> b ->
-            Printf.printf
-              "warning: %s differs between baselines (%g vs %g) — deltas \
-               compare different workloads\n"
-              k a b
-        | _ -> ())
-      [ "clients"; "txns_per_client"; "seed"; "retry"; "max_attempts" ];
-    let old_runs = runs old_file old_doc in
-    let new_runs = runs new_file new_doc in
-    let regressions = ref 0 in
-    let rows =
-      List.filter_map
-        (fun (key, (old_tput, old_good, old_ratio), _) ->
-          let scheme, sites, backend = key in
-          match
-            List.find_opt (fun (k, _, _) -> k = key) new_runs
-          with
-          | None ->
-              incr regressions;
-              Some [ scheme; string_of_int sites; backend;
-                     Printf.sprintf "%.2f" old_tput; "-"; "-"; "-"; "-";
-                     "MISSING" ]
-          | Some (_, (new_tput, new_good, new_ratio), certified) ->
-              let pct old_v new_v =
-                if old_v > 0. then (new_v -. old_v) /. old_v *. 100. else 0.
-              in
-              let delta_pct = pct old_tput new_tput in
-              let good_pct = pct old_good new_good in
-              let commit_drop_pp = (old_ratio -. new_ratio) *. 100. in
-              let tput_regressed = delta_pct < -.threshold in
-              let good_regressed = good_pct < -.threshold in
-              let commit_regressed = commit_drop_pp > max_commit_drop in
-              if tput_regressed || good_regressed || commit_regressed then
-                incr regressions;
-              Some
-                [ scheme; string_of_int sites; backend;
-                  Printf.sprintf "%.2f" old_tput;
-                  Printf.sprintf "%.2f" new_tput;
-                  Printf.sprintf "%+.1f%%" delta_pct;
-                  Printf.sprintf "%+.1f%%" good_pct;
-                  Printf.sprintf "%+.1fpp" (-.commit_drop_pp);
-                  (if tput_regressed then "REGRESSED"
-                   else if good_regressed then "GOODPUT-DROP"
-                   else if commit_regressed then "COMMIT-DROP"
-                   else if not certified then "UNCERTIFIED"
-                   else "ok") ])
-        old_runs
-    in
-    if rows = [] then fail_usage (old_file ^ ": no runs to compare");
-    Mdbs_util.Table.print
-      ~headers:
-        [ "scheme"; "sites"; "backend"; "old txn/s"; "new txn/s"; "delta";
-          "goodput"; "commit"; "verdict" ]
-      rows;
-    (* Certification failures in the new baseline fail the comparison too:
-       a fast but uncertified run is not an optimization. *)
-    let uncertified =
-      List.filter (fun (_, _, c) -> not c) new_runs |> List.length
-    in
-    if uncertified > 0 then
-      Printf.printf "%d new run(s) uncertified\n" uncertified;
-    (* Worst-window tail gate: every telemetry window's precomputed p99
-       must clear the cap, so a transient stall that an end-of-run
-       percentile would average away still fails the comparison. *)
-    let window_failed =
-      match (timeseries, max_window_p99) with
-      | None, None -> false
-      | Some _, None -> fail_usage "--timeseries requires --max-window-p99"
-      | None, Some _ -> fail_usage "--max-window-p99 requires --timeseries"
-      | Some file, Some cap ->
-          let worst = ref neg_infinity in
-          let windows = ref 0 in
-          let ic =
-            try open_in file with Sys_error msg -> fail_usage msg
-          in
-          (try
-             while true do
-               let line = input_line ic in
-               if String.trim line <> "" then
-                 match Json.of_string line with
-                 | Error msg ->
-                     fail_usage (Printf.sprintf "%s: %s" file msg)
-                 | Ok w -> (
-                     match
-                       Option.bind (Json.member "hists" w) Json.list_val
-                     with
-                     | None -> ()
-                     | Some hs ->
-                         List.iter
-                           (fun h ->
-                             match
-                               Option.bind (Json.member "name" h)
-                                 Json.string_val
-                             with
-                             | Some n when n = window_metric -> (
-                                 incr windows;
-                                 match
-                                   Option.bind (Json.member "p99" h)
-                                     Json.number
-                                 with
-                                 | Some p -> if p > !worst then worst := p
-                                 | None -> ())
-                             | _ -> ())
-                           hs)
-             done
-           with End_of_file -> close_in ic);
-          if !windows = 0 then begin
-            (* An empty gate is a failed gate: a run that never observed
-               the histogram proves nothing about its tail. *)
-            Printf.printf "window gate: no %s windows in %s — FAILED\n"
-              window_metric file;
-            true
-          end
-          else begin
-            let failed = !worst > cap in
-            Printf.printf
-              "window gate: worst %s p99 %.2f ms across %d windows (cap \
-               %.2f ms) — %s\n"
-              window_metric !worst !windows cap
-              (if failed then "FAILED" else "ok");
-            failed
-          end
-    in
-    if !regressions > 0 || uncertified > 0 || window_failed then (
-      if !regressions > 0 then
-        Printf.printf "bench-compare: %d regression(s) beyond %.0f%%\n"
-          !regressions threshold;
-      exit 1)
-    else Printf.printf "bench-compare: no regressions beyond %.0f%%\n" threshold
-  in
-  Cmd.v (Cmd.info "bench-compare" ~doc ~man)
-    Term.(
-      const run $ old_file $ new_file $ threshold $ max_commit_drop
-      $ timeseries $ max_window_p99 $ window_metric)
 
 let analyze_cmd =
   let doc = "Statically certify and lint a recorded global schedule" in
@@ -1480,6 +1040,6 @@ let () =
        (Cmd.group info
           [
             schemes_cmd; experiments_cmd; replay_cmd; simulate_cmd; des_cmd;
-            chaos_cmd; serve_cmd; loadgen_cmd; bench_compare_cmd; recover_cmd;
+            chaos_cmd; serve_cmd; loadgen_cmd; recover_cmd;
             analyze_cmd;
           ]))

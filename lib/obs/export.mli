@@ -20,9 +20,8 @@
 
     {b JSONL} ({!window_to_jsonl}) renders one {!Timeseries.window} as one
     line of JSON — tail-able while a run is live; windowed p50/p95/p99 and
-    overflow are precomputed per histogram so downstream gates
-    ([mdbs bench-compare --timeseries]) read quantiles without re-deriving
-    them from buckets. *)
+    overflow are precomputed per histogram so downstream readers get
+    quantiles without re-deriving them from buckets. *)
 
 val to_openmetrics : Metrics.snapshot -> string
 

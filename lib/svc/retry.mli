@@ -1,13 +1,13 @@
 (** Client-side retry policy: capped attempts, seeded exponential backoff
     with full jitter.
 
-    Shared by the closed-loop {!Loadgen} clients and the open-loop {!Serve}
-    arrival process. All randomness comes from the caller's explicit
-    {!Mdbs_util.Rng.t} (each client derives a dedicated backoff substream
-    from the master seed), so a run's retry schedule is deterministic under
-    its seed and — because the backoff stream is separate from the workload
-    stream — turning retries on or off never perturbs the generated
-    transaction sequence. *)
+    Used by the load driver {!Loadgen}, for its closed-loop clients and its
+    open-loop arrival process alike. All randomness comes from the caller's
+    explicit {!Mdbs_util.Rng.t} (each client derives a dedicated backoff
+    substream from the master seed), so a run's retry schedule is
+    deterministic under its seed and — because the backoff stream is
+    separate from the workload stream — turning retries on or off never
+    perturbs the generated transaction sequence. *)
 
 type policy = {
   max_attempts : int;  (** Total attempts per logical transaction (≥ 1). *)

@@ -295,6 +295,4 @@ let number = function
 
 let string_val = function Str s -> Some s | _ -> None
 
-let bool_val = function Bool b -> Some b | _ -> None
-
 let list_val = function List items -> Some items | _ -> None

@@ -4,7 +4,7 @@
     a machine-readable form; this module is the (dependency-free) encoder.
     Output is deterministic: object fields print in the order given. The
     parser ({!of_string}) reads the same documents back — it exists so
-    tooling like [mdbs bench-compare] can diff committed benchmark reports
+    checkers like [test/telemetry_check] can re-read telemetry windows
     without an external JSON dependency. *)
 
 type t =
@@ -43,7 +43,5 @@ val number : t -> float option
 (** [Int] and [Float] both read as float. *)
 
 val string_val : t -> string option
-
-val bool_val : t -> bool option
 
 val list_val : t -> t list option

@@ -7,7 +7,6 @@ module Mailbox = Mdbs_svc.Mailbox
 module Promise = Mdbs_svc.Promise
 module Runtime = Mdbs_svc.Runtime
 module Loadgen = Mdbs_svc.Loadgen
-module Serve = Mdbs_svc.Serve
 module Outcome = Mdbs_svc.Outcome
 module Retry = Mdbs_svc.Retry
 module Wound = Mdbs_svc.Wound
@@ -155,14 +154,26 @@ let promise_basic () =
 let wl ?(durable = false) m =
   { Workload.default with Workload.m; data_per_site = 16; durable }
 
+(* Runtime.config over fresh sites of [w]; the result still takes
+   Runtime.config's optional arguments, then [()]. *)
+let runtime w kind =
+  Runtime.config ~scheme:(Registry.make kind) ~sites:(Workload.make_sites w)
+
+(* [clients] closed-loop clients of [txns] logical transactions each. *)
+let closed ?local_fraction ?retry ~seed w clients txns =
+  Loadgen.config ?local_fraction ?retry ~seed ~wl:w
+    (Loadgen.Closed { clients; txns_per_client = txns })
+
+(* Open-loop arrivals at [rate] per second for [duration_s], retries off. *)
+let open_loop ?local_fraction ~seed w rate duration_s =
+  Loadgen.config ?local_fraction ~retry:Retry.off ~seed ~wl:w
+    (Loadgen.Open { rate; duration_s })
+
 (* Every scheme, on >= 4 real site domains plus the GTM domain, with a
-   closed loop of concurrent client threads; the realized interleaving
-   must certify clean against the Theorem-2 obligations. *)
+   closed loop of concurrent clients; the realized interleaving must
+   certify clean against the Theorem-2 obligations. *)
 let smoke_scheme kind () =
-  let r =
-    Loadgen.run
-      (Loadgen.config ~wl:(wl 4) ~clients:6 ~txns_per_client:8 ~seed:7 kind)
-  in
+  let r = Loadgen.run (runtime (wl 4) kind ()) (closed ~seed:7 (wl 4) 6 8) in
   check_int "all settled" r.Loadgen.submitted
     (r.Loadgen.committed + r.Loadgen.aborted);
   check_bool "some commits" true (r.Loadgen.committed > 0);
@@ -177,8 +188,8 @@ let smoke_scheme kind () =
 let batched_scheme kind () =
   let r =
     Loadgen.run
-      (Loadgen.config ~wl:(wl 4) ~clients:16 ~txns_per_client:4 ~seed:23
-         ~capacity:8 ~max_active:8 ~tick_ms:2. kind)
+      (runtime (wl 4) kind ~capacity:8 ~max_active:8 ~tick_ms:2. ())
+      (closed ~seed:23 (wl 4) 16 4)
   in
   check_int "all settled" r.Loadgen.submitted
     (r.Loadgen.committed + r.Loadgen.aborted);
@@ -194,11 +205,7 @@ let conservative_abort_accounting () =
   let c2pl =
     { (wl 4) with Workload.protocols = [ Mdbs_model.Types.Conservative_2pl ] }
   in
-  let r =
-    Loadgen.run
-      (Loadgen.config ~wl:c2pl ~clients:4 ~txns_per_client:6 ~seed:3
-         Registry.S3)
-  in
+  let r = Loadgen.run (runtime c2pl Registry.S3 ()) (closed ~seed:3 c2pl 4 6) in
   let st = r.Loadgen.run.Runtime.run_stats in
   check_bool "aborts only from detector" true
     (st.Runtime.aborted
@@ -211,8 +218,8 @@ let conservative_abort_accounting () =
 let parked_admission_drains () =
   let r =
     Loadgen.run
-      (Loadgen.config ~wl:(wl 4) ~clients:8 ~txns_per_client:5 ~seed:11
-         ~capacity:2 ~max_active:2 Registry.S2)
+      (runtime (wl 4) Registry.S2 ~capacity:2 ~max_active:2 ())
+      (closed ~seed:11 (wl 4) 8 5)
   in
   check_int "all settled" r.Loadgen.submitted
     (r.Loadgen.committed + r.Loadgen.aborted);
@@ -221,9 +228,8 @@ let parked_admission_drains () =
 (* Local transactions bypass the GTM yet appear in the certified trace. *)
 let locals_and_globals () =
   let r =
-    Loadgen.run
-      (Loadgen.config ~wl:(wl 3) ~clients:6 ~txns_per_client:8
-         ~local_fraction:0.4 ~seed:5 Registry.S1)
+    Loadgen.run (runtime (wl 3) Registry.S1 ())
+      (closed ~local_fraction:0.4 ~seed:5 (wl 3) 6 8)
   in
   check_int "all settled" r.Loadgen.submitted
     (r.Loadgen.committed + r.Loadgen.aborted);
@@ -233,45 +239,64 @@ let locals_and_globals () =
 let atomic_commit_run () =
   let r =
     Loadgen.run
-      (Loadgen.config ~wl:(wl 4) ~clients:4 ~txns_per_client:6 ~seed:13
-         ~atomic_commit:true Registry.S3)
+      (runtime (wl 4) Registry.S3 ~atomic_commit:true ())
+      (closed ~seed:13 (wl 4) 4 6)
   in
   check_int "all settled" r.Loadgen.submitted
     (r.Loadgen.committed + r.Loadgen.aborted);
   check_bool "certified" true r.Loadgen.certified
 
+(* A read-only mix on 2PL sites never conflicts: every arrival commits. *)
+let read_only =
+  { (wl 3) with
+    Workload.write_ratio = 0.;
+    protocols = [ Types.Two_phase_locking ] }
+
 (* Open-loop serve mode with retries off: every arrival is either accepted
    by the admission lane or rejected by backpressure, and the drained run
    still certifies. Locals count in [offered], so their commits must count
-   in the commit ratio too: a read-only mix on 2PL sites never conflicts,
-   so every arrival commits and the ratio is exactly 1. *)
+   in the commit ratio too: on the read-only mix every arrival commits and
+   the ratio is exactly 1. *)
 let serve_accounting () =
   let s =
-    Serve.run ~quiet:true
-      (Serve.config ~wl:(wl 3) ~rate:400. ~duration_s:0.5 ~capacity:8
-         ~retry:Retry.off ~seed:21 Registry.S2)
+    Loadgen.run
+      (runtime (wl 3) Registry.S2 ~capacity:8 ())
+      (open_loop ~seed:21 (wl 3) 400. 0.5)
   in
-  check_int "offered split" s.Serve.offered
-    (s.Serve.accepted + s.Serve.rejected_backpressure);
+  check_int "offered split" s.Loadgen.submitted
+    (s.Loadgen.accepted + s.Loadgen.rejected_backpressure);
   check_bool "made progress" true
-    (s.Serve.run.Runtime.run_stats.Runtime.committed > 0);
-  check_bool "certified" true s.Serve.run.Runtime.certified;
-  let read_only =
-    { (wl 3) with
-      Workload.write_ratio = 0.;
-      protocols = [ Types.Two_phase_locking ] }
-  in
+    (s.Loadgen.run.Runtime.run_stats.Runtime.committed > 0);
+  check_bool "certified" true s.Loadgen.run.Runtime.certified;
   let s =
-    Serve.run ~quiet:true
-      (Serve.config ~wl:read_only ~rate:200. ~duration_s:0.5
-         ~local_fraction:0.25 ~retry:Retry.off ~seed:22 Registry.S3)
+    Loadgen.run
+      (runtime read_only Registry.S3 ())
+      (open_loop ~local_fraction:0.25 ~seed:22 read_only 200. 0.5)
   in
-  let st = s.Serve.run.Runtime.run_stats in
+  let st = s.Loadgen.run.Runtime.run_stats in
   check_int "no global aborted" 0 st.Runtime.aborted;
-  check_int "nothing refused" 0 (s.Serve.rejected_backpressure + s.Serve.shed);
+  check_int "nothing refused" 0
+    (s.Loadgen.rejected_backpressure + s.Loadgen.sheds);
   Alcotest.(check (float 1e-9)) "locals count as committed" 1.0
-    s.Serve.commit_ratio;
-  check_bool "certified" true s.Serve.run.Runtime.certified
+    s.Loadgen.commit_ratio;
+  check_bool "certified" true s.Loadgen.run.Runtime.certified
+
+(* The open loop times each committed logical transaction from its
+   arrival: one sample per commit, none negative, percentiles in order. *)
+let serve_latency () =
+  let r =
+    Loadgen.run
+      (runtime read_only Registry.S3 ())
+      (open_loop ~local_fraction:0.25 ~seed:22 read_only 200. 0.5)
+  in
+  check_bool "some commits" true (r.Loadgen.committed > 0);
+  check_int "one sample per committed txn" r.Loadgen.committed
+    (List.length r.Loadgen.latencies_ms);
+  check_bool "samples non-negative" true
+    (List.for_all (fun ms -> ms >= 0.) r.Loadgen.latencies_ms);
+  check_bool "p50 <= p99 <= max" true
+    (r.Loadgen.p50_ms <= r.Loadgen.p99_ms
+    && r.Loadgen.p99_ms <= r.Loadgen.max_ms)
 
 (* The summary distinguishes the two relief valves: mailbox backpressure
    rejections (full admission lane) versus the GTM's own Outcome.Shed
@@ -279,24 +304,23 @@ let serve_accounting () =
    must agree with the runtime's own counter, and backpressure must not be
    conflated into it. *)
 let serve_backpressure_vs_shed () =
+  let hot = { (wl 3) with Workload.hotspot = 2 } in
   let s =
-    Serve.run ~quiet:true
-      (Serve.config
-         ~wl:{ (wl 3) with Workload.hotspot = 2 }
-         ~rate:600. ~duration_s:0.5 ~capacity:4 ~max_active:2 ~shed_parked:1
-         ~retry:Retry.off ~seed:33 Registry.S2)
+    Loadgen.run
+      (runtime hot Registry.S2 ~capacity:4 ~max_active:2 ~shed_parked:1 ())
+      (open_loop ~seed:33 hot 600. 0.5)
   in
-  let st = s.Serve.run.Runtime.run_stats in
-  check_int "client sheds = runtime sheds" st.Runtime.sheds s.Serve.shed;
+  let st = s.Loadgen.run.Runtime.run_stats in
+  check_int "client sheds = runtime sheds" st.Runtime.sheds s.Loadgen.sheds;
   check_int "client backpressure = runtime rejections" st.Runtime.rejected
-    s.Serve.rejected_backpressure;
-  check_int "offered split" s.Serve.offered
-    (s.Serve.accepted + s.Serve.rejected_backpressure);
+    s.Loadgen.rejected_backpressure;
+  check_int "offered split" s.Loadgen.submitted
+    (s.Loadgen.accepted + s.Loadgen.rejected_backpressure);
   (* Sheds are refusals, not aborts: the abort-cause breakdown books them
      under "shed" and nowhere else. *)
   check_int "sheds bucketed as shed" st.Runtime.sheds
     (try List.assoc "shed" st.Runtime.abort_causes with Not_found -> 0);
-  check_bool "certified" true s.Serve.run.Runtime.certified
+  check_bool "certified" true s.Loadgen.run.Runtime.certified
 
 (* ---------------------------------------------- retry, wound-wait, shed *)
 
@@ -407,13 +431,13 @@ let wound_never_kills_oldest =
 let retry_differential seed () =
   let hot = { (wl 4) with Workload.hotspot = 3 } in
   let base ~retry =
-    Loadgen.config ~wl:hot ~clients:4 ~txns_per_client:4 ~seed ~retry
-      ~stall_timeout_ms:120. Registry.S3
-  in
-  let off = Loadgen.run (base ~retry:Retry.off) in
-  let on =
     Loadgen.run
-      (base ~retry:(Retry.policy ~max_attempts:10 ~base_ms:2. ~cap_ms:16. ()))
+      (runtime hot Registry.S3 ~stall_timeout_ms:120. ())
+      (closed ~retry ~seed hot 4 4)
+  in
+  let off = base ~retry:Retry.off in
+  let on =
+    base ~retry:(Retry.policy ~max_attempts:10 ~base_ms:2. ~cap_ms:16. ())
   in
   check_bool "retries-off certified" true off.Loadgen.certified;
   check_bool "retries-on certified" true on.Loadgen.certified;
@@ -433,9 +457,11 @@ let wound_retry_no_double_visit () =
   let hot = { (wl 4) with Workload.hotspot = 2 } in
   let r =
     Loadgen.run
-      (Loadgen.config ~wl:hot ~clients:8 ~txns_per_client:6 ~seed:57
+      (runtime hot Registry.S2 ~stall_timeout_ms:80. ~wound_after_ms:10.
+         ~tick_ms:2. ())
+      (closed
          ~retry:(Retry.policy ~max_attempts:8 ~base_ms:1. ~cap_ms:8. ())
-         ~stall_timeout_ms:80. ~wound_after_ms:10. ~tick_ms:2. Registry.S2)
+         ~seed:57 hot 8 6)
   in
   let seen = Hashtbl.create 64 in
   List.iter
@@ -476,11 +502,9 @@ let footprint_certified =
   QCheck.Test.make ~name:"sharded scheduling certifies under random footprints"
     ~count:10 footprint_run_arb
     (fun (m, locality, site_groups, max_active, hotspot, seed) ->
+      let w = { (wl m) with Workload.locality; site_groups; hotspot } in
       let r =
-        Loadgen.run
-          (Loadgen.config
-             ~wl:{ (wl m) with Workload.locality; site_groups; hotspot }
-             ~clients:6 ~txns_per_client:4 ~seed ~max_active Registry.S3)
+        Loadgen.run (runtime w Registry.S3 ~max_active ()) (closed ~seed w 6 4)
       in
       r.Loadgen.certified
       && r.Loadgen.violations = 0
@@ -493,11 +517,12 @@ let footprint_certified =
    the admission bound is a scheduling change, not a correctness change. *)
 let throttle_differential seed () =
   let base ~max_active =
-    Loadgen.config ~wl:(wl 4) ~clients:6 ~txns_per_client:4 ~seed ~max_active
-      Registry.S3
+    Loadgen.run
+      (runtime (wl 4) Registry.S3 ~max_active ())
+      (closed ~seed (wl 4) 6 4)
   in
-  let unbounded = Loadgen.run (base ~max_active:64) in
-  let throttled = Loadgen.run (base ~max_active:2) in
+  let unbounded = base ~max_active:64 in
+  let throttled = base ~max_active:2 in
   check_bool "unbounded certified" true unbounded.Loadgen.certified;
   check_bool "throttled certified" true throttled.Loadgen.certified;
   check_int "unbounded violations" 0 unbounded.Loadgen.violations;
@@ -773,9 +798,9 @@ let live_differential seed () =
   let kind = kinds.(seed mod Array.length kinds) in
   let r =
     Loadgen.run
-      (Loadgen.config ~wl:(wl 4) ~clients:6 ~txns_per_client:6 ~seed
-         ~local_fraction:0.25 ~certify:Runtime.Certify_live
-         ~cert_checkpoint_every:64 kind)
+      (runtime (wl 4) kind ~certify:Runtime.Certify_live
+         ~cert_checkpoint_every:64 ())
+      (closed ~local_fraction:0.25 ~seed (wl 4) 6 6)
   in
   let live =
     match r.Loadgen.run.Runtime.live with
@@ -802,9 +827,9 @@ let live_differential seed () =
 let live_soak_bounded () =
   let r =
     Loadgen.run
-      (Loadgen.config ~wl:(wl 4) ~clients:8 ~txns_per_client:25 ~seed:5
-         ~local_fraction:0.2 ~certify:Runtime.Certify_soak
-         ~cert_checkpoint_every:256 Registry.S3)
+      (runtime (wl 4) Registry.S3 ~certify:Runtime.Certify_soak
+         ~cert_checkpoint_every:256 ())
+      (closed ~local_fraction:0.2 ~seed:5 (wl 4) 8 25)
   in
   let live =
     match r.Loadgen.run.Runtime.live with
@@ -906,6 +931,7 @@ let () =
           Alcotest.test_case "serve" `Quick serve_accounting;
           Alcotest.test_case "serve-shed-split" `Quick
             serve_backpressure_vs_shed;
+          Alcotest.test_case "serve-latency" `Quick serve_latency;
           Alcotest.test_case "shutdown" `Quick shutdown_refuses;
         ] );
       ( "robustness",

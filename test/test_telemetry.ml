@@ -360,11 +360,14 @@ let loadgen_integration () =
       [ "commit_ratio >= 1.01"; "p99(svc_response_ms) <= 10000" ]
   in
   let obs = Obs.create ~metrics:true () in
+  let wl = Mdbs_sim.Workload.default in
   let r =
     Loadgen.run
-      (Loadgen.config ~clients:8 ~txns_per_client:10 ~obs
-         ~telemetry_out:jsonl ~openmetrics_out:om ~telemetry_interval_ms:20.
-         ~slos Registry.S3)
+      (Runtime.config ~obs ~telemetry_out:jsonl ~openmetrics_out:om
+         ~telemetry_interval_ms:20. ~slos
+         ~scheme:(Registry.make Registry.S3)
+         ~sites:(Mdbs_sim.Workload.make_sites wl) ())
+      (Loadgen.config ~wl (Closed { clients = 8; txns_per_client = 10 }))
   in
   check_bool "certified" true r.Loadgen.certified;
   (* OpenMetrics file validates and agrees with the run. *)
