@@ -25,25 +25,16 @@ module Rng = Mdbs_util.Rng
 open Mdbs_experiments
 
 let print_tables () =
-  Report.print (Complexity.sweep_dav ());
-  Report.print (Complexity.sweep_n ());
-  Report.print (Concurrency.wait_table ());
-  Report.print
-    (Concurrency.wait_table
-       ~config:{ Replay.m = 16; n_txns = 64; d_av = 2; concurrency = 8; ack_latency = 0 }
-       ());
-  Report.print (Concurrency.incomparability_witnesses ());
-  Report.print (Concurrency.scheme3_permits_all ());
-  Report.print (Minimality.run ());
-  Report.print (Endtoend.run ());
-  Report.print (Endtoend.violation_hunt ());
-  Report.print (Tradeoff.conservative_vs_optimistic ());
-  Report.print (Tradeoff.marking_ablation ());
-  Report.print (Tradeoff.protocol_mix ());
-  Report.print (Tradeoff.atomic_commit ());
-  Report.print (Timing.scheme_comparison ());
-  Report.print (Timing.latency_sweep ());
-  Report.print (Chaos.table ())
+  List.iter
+    (fun (id, table) ->
+      Report.print (table ());
+      (* E5 again at low contention: EXPERIMENTS.md's second E5 table. *)
+      if id = "E5" then
+        Report.print
+          (Concurrency.wait_table
+             ~config:{ Replay.m = 16; n_txns = 64; d_av = 2; concurrency = 8; ack_latency = 0 }
+             ()))
+    Catalog.tables
 
 (* ----------------------------------------------------- Bechamel section *)
 
@@ -203,11 +194,7 @@ let gtm_sched_per_op_bench =
   Test.make ~name:"svc gtm_sched scheme3 per-op lock (32 txns)"
     (Staged.stage (fun () ->
          let sched = Mdbs_svc.Gtm_sched.create (Registry.make Registry.S3) in
-         List.iter
-           (fun op ->
-             Mdbs_svc.Gtm_sched.enqueue sched op;
-             ignore (Mdbs_svc.Gtm_sched.run sched))
-           ops))
+         List.iter (fun op -> ignore (Mdbs_svc.Gtm_sched.run_ops sched [ op ])) ops))
 
 let gtm_sched_batched_bench =
   let ops = engine_ops ~n_txns:32 ~m:4 in

@@ -247,29 +247,9 @@ let experiments_cmd =
   let doc = "Print the paper-reproduction experiment tables" in
   let only =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"ID"
-           ~doc:"Run only the experiment with this id prefix (E1..E7).")
+           ~doc:"Run only the experiments with this id prefix (E1..E15).")
   in
   let run only =
-    let tables =
-      [
-        ("E1", fun () -> Complexity.sweep_dav ());
-        ("E2", fun () -> Complexity.sweep_n ());
-        ("E5", fun () -> Concurrency.wait_table ());
-        ("E5b", fun () -> Concurrency.incomparability_witnesses ());
-        ("E5c", fun () -> Concurrency.scheme3_permits_all ());
-        ("E6", fun () -> Minimality.run ());
-        ("E7", fun () -> Endtoend.run ());
-        ("E7b", fun () -> Endtoend.violation_hunt ());
-        ("E9", fun () -> Tradeoff.conservative_vs_optimistic ());
-        ("E10", fun () -> Tradeoff.marking_ablation ());
-        ("E11", fun () -> Tradeoff.protocol_mix ());
-        ("E12", fun () -> Tradeoff.atomic_commit ());
-        ("E13", fun () -> Timing.scheme_comparison ());
-        ("E13b", fun () -> Timing.latency_sweep ());
-        ("E14", fun () -> Chaos.table ());
-        ("E15", fun () -> Obswait.wait_table ());
-      ]
-    in
     let wanted (id, _) =
       match only with
       | None -> true
@@ -278,7 +258,9 @@ let experiments_cmd =
           String.length id >= String.length prefix
           && String.sub id 0 (String.length prefix) = prefix
     in
-    List.iter (fun (_, table) -> Report.print (table ())) (List.filter wanted tables)
+    List.iter
+      (fun (_, table) -> Report.print (table ()))
+      (List.filter wanted Catalog.tables)
   in
   Cmd.v (Cmd.info "experiments" ~doc) Term.(const run $ only)
 

@@ -7,9 +7,10 @@
     WAIT.
 
     The engine is synchronous: {!run} processes everything currently in
-    QUEUE and returns the effects emitted, in order. The caller (GTM glue,
-    replay harness, simulator) turns [Submit_ser] effects into site
-    submissions and later enqueues the matching [Ack] operations. *)
+    QUEUE and returns the effects emitted, in order. The caller (the
+    coordinator core {!Coord}, or the replay harness) turns [Submit_ser]
+    effects into site submissions and later enqueues the matching [Ack]
+    operations. *)
 
 type t
 

@@ -6,50 +6,93 @@ type status = Active | Committed | Aborted of string
 
 type t = {
   engine : Engine.t;
-  gtm1 : Gtm1.t;
+  coord : Coord.t;
   atomic_commit : bool;
   site_tbl : (Types.sid, Local_dbms.t) Hashtbl.t;
   ser_log : Ser_schedule.t;
-  pending_ser : (Types.sid * Types.gid, unit) Hashtbl.t;
-      (* serialization operations submitted to a site and blocked there *)
   local_cont : (Types.tid, Types.sid * Op.action list) Hashtbl.t;
       (* blocked local transactions: site and actions still to run *)
   statuses : (Types.tid, status) Hashtbl.t;
-  fin_enqueued : (Types.gid, unit) Hashtbl.t;
-  death_reason : (Types.gid, string) Hashtbl.t;
   mutable forced_aborts : int;
   gtm_log : Gtm_log.t; (* stable storage: survives a GTM crash *)
-  decided : (Types.gid, unit) Hashtbl.t;
 }
+
+let find_site site_tbl sid =
+  match Hashtbl.find_opt site_tbl sid with
+  | Some s -> s
+  | None -> invalid_arg (Printf.sprintf "Gtm.site: unknown site %d" sid)
+
+(* Carry out the coordinator's effects synchronously: a step runs at its
+   site at once and its answer goes straight back to the core. *)
+let perform ~site_tbl ~ser_log ~statuses ~gtm_log ~reason_of coord effect =
+  let site = find_site site_tbl in
+  match effect with
+  | Coord.Run { gid; pc; site = sid; action; ser } ->
+      let dbms = site sid in
+      if action = Op.Begin && Local_dbms.needs_declarations dbms then
+        Local_dbms.declare dbms gid (Coord.declaration coord gid sid);
+      let answer =
+        match Local_dbms.submit dbms gid action with
+        | Local_dbms.Executed _ ->
+            if ser then Ser_schedule.record ser_log sid gid;
+            Coord.Done
+        | Local_dbms.Waiting -> Coord.Blocked
+        | Local_dbms.Aborted reason -> Coord.Refused reason
+      in
+      ignore (Coord.reply coord gid ~pc answer)
+  | Coord.Rollback (gid, sid) -> ignore (Local_dbms.submit (site sid) gid Op.Abort)
+  | Coord.Resolve (gid, sid, d) ->
+      let dbms = site sid in
+      if Local_dbms.is_active dbms gid then
+        ignore
+          (Local_dbms.submit dbms gid
+             (match d with Gtm_log.Commit -> Op.Commit | Gtm_log.Abort -> Op.Abort))
+  | Coord.Log r -> Gtm_log.append gtm_log r
+  | Coord.Finish { gid; outcome; recovered } ->
+      Hashtbl.replace statuses gid
+        (match outcome with
+        | Coord.Committed -> Committed
+        | Coord.Aborted r when recovered ->
+            (* Why it died, if the crashed incarnation still knew. *)
+            Aborted (Option.value (reason_of gid) ~default:r)
+        | Coord.Aborted r -> Aborted r)
+
+let make ~engine ~atomic_commit ~site_tbl ~ser_log ~local_cont ~statuses
+    ~forced_aborts ~gtm_log ~reason_of =
+  let protocol_of sid = Local_dbms.protocol_kind (find_site site_tbl sid) in
+  let gtm2 ops =
+    Engine.enqueue_all engine ops;
+    Engine.run engine
+  in
+  {
+    engine;
+    atomic_commit;
+    coord =
+      Coord.create ~atomic:atomic_commit ~protocol_of ~gtm2
+        ~perform:(perform ~site_tbl ~ser_log ~statuses ~gtm_log ~reason_of)
+        ();
+    site_tbl;
+    ser_log;
+    local_cont;
+    statuses;
+    forced_aborts;
+    gtm_log;
+  }
 
 let create ?(obs = Mdbs_obs.Obs.disabled) ?(atomic_commit = false) ~scheme
     ~sites () =
   let site_tbl = Hashtbl.create 16 in
   List.iter (fun s -> Hashtbl.replace site_tbl (Local_dbms.site_id s) s) sites;
-  {
-    engine = Engine.create ~obs scheme;
-    gtm1 = Gtm1.create ();
-    atomic_commit;
-    site_tbl;
-    ser_log = Ser_schedule.create ();
-    pending_ser = Hashtbl.create 16;
-    local_cont = Hashtbl.create 16;
-    statuses = Hashtbl.create 64;
-    fin_enqueued = Hashtbl.create 64;
-    death_reason = Hashtbl.create 16;
-    forced_aborts = 0;
-    gtm_log = Gtm_log.create ();
-    decided = Hashtbl.create 16;
-  }
+  make ~engine:(Engine.create ~obs scheme) ~atomic_commit ~site_tbl
+    ~ser_log:(Ser_schedule.create ()) ~local_cont:(Hashtbl.create 16)
+    ~statuses:(Hashtbl.create 64) ~forced_aborts:0 ~gtm_log:(Gtm_log.create ())
+    ~reason_of:(fun _ -> None)
 
 let engine t = t.engine
 
 let gtm_log t = t.gtm_log
 
-let site t sid =
-  match Hashtbl.find_opt t.site_tbl sid with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Gtm.site: unknown site %d" sid)
+let site t sid = find_site t.site_tbl sid
 
 let sites t =
   Hashtbl.fold (fun _ s acc -> s :: acc) t.site_tbl []
@@ -66,144 +109,18 @@ let forced_aborts t = t.forced_aborts
 let status t tid =
   match Hashtbl.find_opt t.statuses tid with Some s -> s | None -> Active
 
-(* --- global transaction plumbing ------------------------------------- *)
-
-(* Force-append a decision record at most once per transaction. *)
-let log_decided t gid d =
-  if not (Hashtbl.mem t.decided gid) then begin
-    Hashtbl.replace t.decided gid ();
-    Gtm_log.append t.gtm_log (Gtm_log.Decided (gid, d))
-  end
-
-(* Acknowledge the in-flight step, logging the advance. *)
-let gtm1_ack t gid =
-  Gtm_log.append t.gtm_log (Gtm_log.Acked (gid, Gtm1.pc t.gtm1 gid));
-  Gtm1.on_ack t.gtm1 gid
-
-let mark_global_dead t gid reason ~aborting_site =
-  if not (Gtm1.is_dead t.gtm1 gid) then begin
-    Gtm1.mark_dead t.gtm1 gid;
-    log_decided t gid Gtm_log.Abort;
-    Hashtbl.replace t.death_reason gid reason;
-    (match aborting_site with
-    | Some s -> Gtm1.note_site_terminated t.gtm1 gid s
-    | None -> ());
-    (* Roll back at every other site where the subtransaction is active. *)
-    List.iter
-      (fun s ->
-        ignore (Local_dbms.submit (site t s) gid Op.Abort);
-        Gtm1.note_site_terminated t.gtm1 gid s)
-      (Gtm1.begun_sites t.gtm1 gid)
-  end
-
 let submit_global t txn =
-  let ser_point_of sid =
-    let dbms = site t sid in
-    if t.atomic_commit then
-      Ser_fun.for_protocol_atomic (Local_dbms.protocol_kind dbms)
-    else Local_dbms.serialization_point dbms
-  in
-  let info = Gtm1.admit t.gtm1 txn ~atomic:t.atomic_commit ~ser_point_of () in
-  Gtm_log.append t.gtm_log (Gtm_log.Admitted (txn, t.atomic_commit));
-  Hashtbl.replace t.statuses txn.Txn.id Active;
-  Engine.enqueue t.engine (Queue_op.Init info)
-
-(* Predeclare the subtransaction's lock set when the site needs it
-   (conservative 2PL), just before its begin is submitted. *)
-let declare_if_needed t gid sid action =
-  if action = Op.Begin then begin
-    let dbms = site t sid in
-    if Local_dbms.needs_declarations dbms then
-      let accesses =
-        List.map
-          (fun (item, write) ->
-            (item, if write then Cc_types.Write_mode else Cc_types.Read_mode))
-          (Gtm1.declaration_for t.gtm1 gid sid)
-      in
-      Local_dbms.declare dbms gid accesses
-  end
-
-(* Execute the Submit_ser effect: run the serialization operation at its
-   site (or fake it for a dead transaction). *)
-let handle_submit_ser t gid sid progressed =
-  let fake_ack () = Engine.enqueue t.engine (Queue_op.Ack (gid, sid)) in
-  if Gtm1.is_dead t.gtm1 gid then fake_ack ()
-  else begin
-    let action =
-      match Gtm1.current_step t.gtm1 gid with
-      | Some step when step.Gtm1.site = sid && step.Gtm1.via_gtm2 -> step.Gtm1.action
-      | Some _ | None -> invalid_arg "Gtm: Submit_ser does not match current step"
-    in
-    (* Under 2PC, reaching a commit step means every prepare was
-       acknowledged: the global verdict is now Commit. Log the decision
-       before the first commit leaves the GTM (the 2PC decision record). *)
-    if action = Op.Commit then log_decided t gid Gtm_log.Commit;
-    declare_if_needed t gid sid action;
-    match Local_dbms.submit (site t sid) gid action with
-    | Local_dbms.Executed _ ->
-        Ser_schedule.record t.ser_log sid gid;
-        fake_ack ()
-    | Local_dbms.Waiting -> Hashtbl.replace t.pending_ser (sid, gid) ()
-    | Local_dbms.Aborted reason ->
-        mark_global_dead t gid reason ~aborting_site:(Some sid);
-        fake_ack ()
-  end;
-  progressed := true
-
-(* Drive one global transaction as far as it goes without an ack. *)
-let rec drive_global t gid progressed =
-  match Gtm1.next t.gtm1 gid with
-  | Gtm1.In_flight -> ()
-  | Gtm1.Finished ->
-      if not (Hashtbl.mem t.fin_enqueued gid) then begin
-        Hashtbl.replace t.fin_enqueued gid ();
-        Engine.enqueue t.engine (Queue_op.Fin gid);
-        let final =
-          if Gtm1.is_dead t.gtm1 gid then
-            Aborted
-              (match Hashtbl.find_opt t.death_reason gid with
-              | Some r -> r
-              | None -> "aborted")
-          else Committed
-        in
-        if final = Committed then log_decided t gid Gtm_log.Commit;
-        Gtm_log.append t.gtm_log (Gtm_log.Finished gid);
-        Hashtbl.replace t.statuses gid final;
-        Gtm1.finish t.gtm1 gid;
-        progressed := true
-      end
-  | Gtm1.Dispatch_ser sid ->
-      Gtm_log.append t.gtm_log (Gtm_log.Dispatched (gid, Gtm1.pc t.gtm1 gid));
-      Gtm1.note_dispatched t.gtm1 gid;
-      Engine.enqueue t.engine (Queue_op.Ser (gid, sid));
-      progressed := true
-  | Gtm1.Dispatch_direct step ->
-      Gtm_log.append t.gtm_log (Gtm_log.Dispatched (gid, Gtm1.pc t.gtm1 gid));
-      (if step.Gtm1.action = Op.Commit && not (Gtm1.is_dead t.gtm1 gid) then
-         log_decided t gid Gtm_log.Commit);
-      Gtm1.note_dispatched t.gtm1 gid;
-      progressed := true;
-      declare_if_needed t gid step.Gtm1.site step.Gtm1.action;
-      (match Local_dbms.submit (site t step.Gtm1.site) gid step.Gtm1.action with
-      | Local_dbms.Executed _ ->
-          gtm1_ack t gid;
-          drive_global t gid progressed
-      | Local_dbms.Waiting -> ()
-      | Local_dbms.Aborted reason ->
-          mark_global_dead t gid reason ~aborting_site:(Some step.Gtm1.site);
-          gtm1_ack t gid;
-          drive_global t gid progressed)
+  Coord.admit t.coord txn;
+  Hashtbl.replace t.statuses txn.Txn.id Active
 
 (* --- local transactions ---------------------------------------------- *)
 
-let rec run_local_actions t tid sid actions progressed =
+let rec run_local_actions t tid sid actions =
   match actions with
   | [] -> Hashtbl.replace t.statuses tid Committed
   | action :: rest -> (
       match Local_dbms.submit (site t sid) tid action with
-      | Local_dbms.Executed _ ->
-          progressed := true;
-          run_local_actions t tid sid rest progressed
+      | Local_dbms.Executed _ -> run_local_actions t tid sid rest
       | Local_dbms.Waiting -> Hashtbl.replace t.local_cont tid (sid, rest)
       | Local_dbms.Aborted reason -> Hashtbl.replace t.statuses tid (Aborted reason))
 
@@ -222,34 +139,31 @@ let submit_local t txn =
            (item, if write then Cc_types.Write_mode else Cc_types.Read_mode))
          (Txn.accesses_at txn sid));
   let actions = List.map (fun s -> s.Txn.action) txn.Txn.script in
-  run_local_actions t txn.Txn.id sid actions (ref false)
+  run_local_actions t txn.Txn.id sid actions
 
 (* --- completions ------------------------------------------------------ *)
 
-let handle_completion t sid (completion : Local_dbms.completion) progressed =
+let handle_completion t sid (completion : Local_dbms.completion) =
   let tid = completion.Local_dbms.tid in
-  progressed := true;
-  if Hashtbl.mem t.pending_ser (sid, tid) then begin
-    Hashtbl.remove t.pending_ser (sid, tid);
-    Ser_schedule.record t.ser_log sid tid;
-    Engine.enqueue t.engine (Queue_op.Ack (tid, sid))
-  end
-  else
-    match Hashtbl.find_opt t.local_cont tid with
-    | Some (cont_sid, rest) ->
-        Hashtbl.remove t.local_cont tid;
-        run_local_actions t tid cont_sid rest progressed
-    | None ->
-        (* A direct operation of a global transaction was unblocked. *)
-        if Gtm1.is_known t.gtm1 tid then gtm1_ack t tid
+  match Hashtbl.find_opt t.local_cont tid with
+  | Some (cont_sid, rest) ->
+      Hashtbl.remove t.local_cont tid;
+      run_local_actions t tid cont_sid rest
+  | None -> (
+      (* A blocked step of a global transaction executed. *)
+      match Coord.reply t.coord tid Coord.Done with
+      | Some step when step.Gtm1.via_gtm2 -> Ser_schedule.record t.ser_log sid tid
+      | Some _ | None -> ())
 
-let drain_completions t progressed =
-  List.iter
-    (fun s ->
-      List.iter
-        (fun c -> handle_completion t (Local_dbms.site_id s) c progressed)
-        (Local_dbms.drain_completions s))
-    (sites t)
+let drain_completions t =
+  List.fold_left
+    (fun progressed s ->
+      match Local_dbms.drain_completions s with
+      | [] -> progressed
+      | completions ->
+          List.iter (handle_completion t (Local_dbms.site_id s)) completions;
+          true)
+    false (sites t)
 
 (* --- forced aborts (cross-site deadlocks) ----------------------------- *)
 
@@ -257,65 +171,20 @@ let drain_completions t progressed =
    cross-site deadlock (each site's waits-for graph is acyclic, the cycle
    spans sites). Kill the youngest blocked global transaction. *)
 let force_abort_one t =
-  let blocked_globals =
-    List.filter
-      (fun gid ->
-        Gtm1.next t.gtm1 gid = Gtm1.In_flight
-        && (not (Gtm1.is_dead t.gtm1 gid))
-        &&
-        match Gtm1.current_step t.gtm1 gid with
-        | Some step ->
-            let sid = step.Gtm1.site in
-            Hashtbl.mem t.pending_ser (sid, gid)
-            || Local_dbms.has_pending (site t sid) gid
-        | None -> false)
-      (Gtm1.active t.gtm1)
-  in
-  match List.rev blocked_globals with
+  match List.rev (Coord.blocked t.coord) with
   | [] -> false
-  | victim :: _ ->
+  | (victim, _) :: _ ->
       t.forced_aborts <- t.forced_aborts + 1;
-      let step =
-        match Gtm1.current_step t.gtm1 victim with
-        | Some s -> s
-        | None -> assert false
-      in
-      let sid = step.Gtm1.site in
-      ignore (Local_dbms.submit (site t sid) victim Op.Abort);
-      mark_global_dead t victim "global-deadlock" ~aborting_site:(Some sid);
-      if Hashtbl.mem t.pending_ser (sid, victim) then begin
-        Hashtbl.remove t.pending_ser (sid, victim);
-        Engine.enqueue t.engine (Queue_op.Ack (victim, sid))
-      end
-      else gtm1_ack t victim;
+      ignore (Coord.kill t.coord victim "global-deadlock");
       true
 
 (* --- the pump ---------------------------------------------------------- *)
 
 let pump t =
-  let quiescent = ref false in
-  while not !quiescent do
-    let progressed = ref false in
-    let effects = Engine.run t.engine in
-    if effects <> [] then progressed := true;
-    List.iter
-      (fun effect ->
-        match effect with
-        | Scheme.Submit_ser (gid, sid) -> handle_submit_ser t gid sid progressed
-        | Scheme.Forward_ack (gid, _) -> gtm1_ack t gid
-        | Scheme.Abort_global gid ->
-            (* A non-conservative scheme refused the serialization
-               operation: the transaction dies without it ever reaching its
-               site. Complete the in-flight step and take the dead path. *)
-            mark_global_dead t gid "gtm2-abort" ~aborting_site:None;
-            if Gtm1.is_known t.gtm1 gid then gtm1_ack t gid;
-            progressed := true)
-      effects;
-    drain_completions t progressed;
-    List.iter (fun gid -> drive_global t gid progressed) (Gtm1.active t.gtm1);
-    if not !progressed then
-      if Engine.idle t.engine && force_abort_one t then ()
-      else quiescent := true
+  let poll () = drain_completions t in
+  ignore (Coord.pump ~poll t.coord);
+  while force_abort_one t do
+    ignore (Coord.pump ~poll t.coord)
   done
 
 (* --- GTM crash and recovery ------------------------------------------- *)
@@ -341,49 +210,14 @@ let pump t =
 let recover ~old ~scheme =
   Engine.close_open_spans old.engine ~reason:"gtm-crash";
   let t =
-    {
-      engine = Engine.create ~obs:(Engine.obs old.engine) scheme;
-      gtm1 = Gtm1.create ();
-      atomic_commit = old.atomic_commit;
-      site_tbl = old.site_tbl;
-      ser_log = old.ser_log;
-      pending_ser = Hashtbl.create 16;
-      local_cont = old.local_cont;
-      statuses = old.statuses;
-      fin_enqueued = old.fin_enqueued;
-      death_reason = old.death_reason;
-      forced_aborts = old.forced_aborts;
-      gtm_log = old.gtm_log;
-      decided = Hashtbl.create 16;
-    }
+    make
+      ~engine:(Engine.create ~obs:(Engine.obs old.engine) scheme)
+      ~atomic_commit:old.atomic_commit ~site_tbl:old.site_tbl ~ser_log:old.ser_log
+      ~local_cont:old.local_cont ~statuses:old.statuses
+      ~forced_aborts:old.forced_aborts ~gtm_log:old.gtm_log
+      ~reason_of:(Coord.death_reason old.coord)
   in
-  List.iter
-    (fun (entry : Gtm_log.entry) ->
-      let gid = entry.Gtm_log.txn.Txn.id in
-      let live_sites =
-        List.filter
-          (fun sid -> Local_dbms.is_active (site t sid) gid)
-          (Txn.sites entry.Gtm_log.txn)
-      in
-      (match entry.Gtm_log.decision with
-      | Some Gtm_log.Commit ->
-          List.iter
-            (fun sid -> ignore (Local_dbms.submit (site t sid) gid Op.Commit))
-            live_sites;
-          Hashtbl.replace t.statuses gid Committed
-      | Some Gtm_log.Abort | None ->
-          if entry.Gtm_log.decision = None then
-            Gtm_log.append t.gtm_log (Gtm_log.Decided (gid, Gtm_log.Abort));
-          List.iter
-            (fun sid -> ignore (Local_dbms.submit (site t sid) gid Op.Abort))
-            live_sites;
-          Hashtbl.replace t.statuses gid
-            (Aborted
-               (match Hashtbl.find_opt t.death_reason gid with
-               | Some r -> r
-               | None -> "gtm-crash")));
-      Gtm_log.append t.gtm_log (Gtm_log.Finished gid))
-    (Gtm_log.analyze t.gtm_log);
+  Coord.recover t.coord t.gtm_log;
   (* Resolution released locks; blocked local transactions may now run. *)
   pump t;
   t

@@ -4,18 +4,19 @@
     This is the synchronous front door of the library: admit global
     transactions, submit local transactions directly to their sites (they
     bypass the GTM, as the paper's pre-existing local applications do), and
-    {!pump} until quiescence. The discrete-event simulator builds on the
-    same pieces with latencies and workload generation; examples and tests
-    use this module directly.
+    {!pump} until quiescence. Examples, tests and the round-counting
+    {!Mdbs_sim.Driver} use this module directly.
 
-    Abort handling: the GTM2 schemes are conservative (they never abort),
-    but a local DBMS may still reject a global subtransaction (deadlock
-    victim, late timestamp, failed validation). The glue then aborts the
-    transaction at every site where it is active and {e fakes} the
-    acknowledgements of its remaining serialization operations so the
-    scheme's data structures drain; cross-site deadlocks (invisible to every
-    single site) are broken by aborting the youngest blocked global
-    transaction after a quiescent round. *)
+    It drives the coordinator core ({!Coord}), which owns every per-global
+    rule, with no transport at all: each step runs at its site at once and
+    the site's answer goes straight back to the core. A local DBMS may
+    reject a global subtransaction (deadlock victim, late timestamp, failed
+    validation); the core then rolls the transaction back everywhere and
+    acknowledges its remaining serialization operations itself so the
+    scheme's data structures drain. This module keeps one rule of its own,
+    its victim policy: cross-site deadlocks (invisible to every single
+    site) are broken by killing the youngest blocked global transaction
+    after a quiescent round. *)
 
 open Mdbs_model
 

@@ -9,8 +9,8 @@
     each transaction with [init_i] (before any operation) and [fin_i] (after
     every serialization acknowledgement).
 
-    GTM1 is a passive state machine here: the GTM glue ({!Gtm}) or the
-    simulator asks {!next} what to do and reports completions back. *)
+    GTM1 is a passive state machine here: the coordinator core ({!Coord})
+    asks {!next} what to do and reports completions back. *)
 
 open Mdbs_model
 

@@ -34,11 +34,16 @@ let check_run ?(profile = Profile.null) (run : Des.run) =
       schedules
   in
   (* A committed global transaction must be committed at every one of its
-     sites and aborted at none; half commits are atomicity violations. *)
+     sites and aborted at none; half commits are atomicity violations. So
+     is a subtransaction still active at a site when the run ends: nothing
+     will ever commit or roll it back. *)
   let atomic =
     List.for_all
       (fun txn ->
         let tid = txn.Txn.id in
+        (not
+           (List.exists (fun db -> Local_dbms.is_active db tid) run.Des.sites))
+        &&
         match sites_where Schedule.committed tid with
         | [] -> true
         | committed ->

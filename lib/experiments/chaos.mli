@@ -11,7 +11,9 @@
       faults may abort transactions but never let a non-serializable
       history commit;
     - {e atomic}: no global transaction committed at one site and aborted
-      at another, and every committed one committed at all of its sites;
+      at another, every committed one committed at all of its sites, and
+      no global subtransaction is still active at a site when the run
+      ends;
     - {e wal_consistent}: each durable site's final storage equals the
       state its write-ahead log predicts — crash recovery lost nothing.
 

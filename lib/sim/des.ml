@@ -4,8 +4,8 @@ module Binary_heap = Mdbs_util.Binary_heap
 module Stats = Mdbs_util.Stats
 module Engine = Mdbs_core.Engine
 module Scheme = Mdbs_core.Scheme
-module Queue_op = Mdbs_core.Queue_op
 module Gtm1 = Mdbs_core.Gtm1
+module Coord = Mdbs_core.Coord
 module Gtm_log = Mdbs_core.Gtm_log
 module Registry = Mdbs_core.Registry
 module Local_dbms = Mdbs_site.Local_dbms
@@ -94,8 +94,8 @@ type event =
       (* operation [pc] of a global transaction reaches its site *)
   | Site_abort of Types.sid * Types.gid (* rollback order reaches the site *)
   | Local_step of Types.sid * Types.tid * Op.action list
-  | Gtm_ser_ack of Types.gid * int * Types.sid * string option
-  | Gtm_direct_ack of Types.gid * int * string option
+  | Gtm_ack of Types.gid * int * string option
+      (* a site's answer for operation [pc]: [Some reason] = refused *)
   | Deadlock_scan
   | Fault_event of Fault.fault
   | Retry_check of Types.gid * int * int (* gid, pc, attempt *)
@@ -105,7 +105,7 @@ type event =
 type sim = {
   config : config;
   mutable engine : Engine.t; (* volatile: replaced at a GTM crash *)
-  mutable gtm1 : Gtm1.t; (* volatile: replaced at a GTM crash *)
+  mutable coord : Coord.t; (* volatile: replaced at a GTM crash *)
   make_scheme : unit -> Scheme.t; (* fresh scheme for a restarted GTM *)
   gtm_log : Gtm_log.t; (* the GTM's stable storage *)
   site_tbl : (Types.sid, Local_dbms.t) Hashtbl.t;
@@ -121,16 +121,10 @@ type sim = {
   pending_global : (Types.sid * Types.gid, op_kind * int * float) Hashtbl.t;
   local_cont : (Types.tid, Types.sid * Op.action list * float) Hashtbl.t;
   started : (Types.gid, float) Hashtbl.t; (* logical start per attempt *)
-  fin_enqueued : (Types.gid, unit) Hashtbl.t;
-  death_reason : (Types.gid, string) Hashtbl.t;
   budgets : (Types.gid, Txn.t * int) Hashtbl.t;
-  (* the operation the GTM is waiting on, per transaction: acknowledgements
-     and retries for any other (stale, duplicated) operation are ignored *)
-  outstanding : (Types.gid, int) Hashtbl.t;
   (* per-site memory of executed operations (volatile, dies with the site):
      a redelivered operation is re-acknowledged from here, never re-run *)
   dedup : (Types.sid * Types.gid * int, string option) Hashtbl.t;
-  decided : (Types.gid, Gtm_log.decision) Hashtbl.t;
   slow : (Types.sid, float * float) Hashtbl.t; (* factor, until *)
   dead_local : (Types.tid, unit) Hashtbl.t; (* locals killed by a site crash *)
   live_local_at : (Types.tid, Types.sid) Hashtbl.t;
@@ -266,25 +260,6 @@ let service_at sim sid =
     | _ -> s
   else s
 
-let log_decided sim gid d =
-  if not (Hashtbl.mem sim.decided gid) then begin
-    Hashtbl.replace sim.decided gid d;
-    Gtm_log.append sim.gtm_log (Gtm_log.Decided (gid, d));
-    if tracing sim then
-      Sink.instant sim.obs.Obs.sink
-        ~track:(Sink.txn_track sim.obs.Obs.sink gid)
-        ~attrs:
-          [
-            ( "decision",
-              match d with Gtm_log.Commit -> "commit" | Gtm_log.Abort -> "abort"
-            );
-          ]
-        "2pc.decision"
-  end
-
-let commit_decided sim gid =
-  Hashtbl.find_opt sim.decided gid = Some Gtm_log.Commit
-
 (* --- the faulty transport --------------------------------------------- *)
 
 let flip sim p = p > 0.0 && Rng.float sim.link_rng 1.0 < p
@@ -325,75 +300,29 @@ let backoff sim attempt =
    makes delivery idempotent: the site caches the outcome per id, and the
    GTM accepts only the acknowledgement it is waiting on. *)
 let send_to_site sim sid gid pc action kind ~attempt =
-  Hashtbl.replace sim.outstanding gid pc;
   send_link sim ~extra:0.0 (Site_deliver (sid, gid, pc, action, kind));
   if sim.faults_enabled then
     schedule sim (backoff sim attempt) (Retry_check (gid, pc, attempt))
 
 (* Acknowledge operation [pc] back to the GTM (also a faulty link). *)
-let ack_to_gtm sim sid gid pc kind failure ~extra =
-  match kind with
-  | Ser_op -> send_link sim ~extra (Gtm_ser_ack (gid, pc, sid, failure))
-  | Direct_op -> send_link sim ~extra (Gtm_direct_ack (gid, pc, failure))
+let ack_to_gtm sim gid pc failure ~extra =
+  send_link sim ~extra (Gtm_ack (gid, pc, failure))
 
 let declare_if_needed sim gid sid action =
   if action = Op.Begin then begin
     let dbms = site sim sid in
     if Local_dbms.needs_declarations dbms then
-      Local_dbms.declare dbms gid
-        (List.map
-           (fun (item, write) ->
-             (item, if write then Cc_types.Write_mode else Cc_types.Read_mode))
-           (Gtm1.declaration_for sim.gtm1 gid sid))
+      Local_dbms.declare dbms gid (Coord.declaration sim.coord gid sid)
   end
 
-(* The GTM learns of a subtransaction failure: kill the transaction and
-   order rollbacks at every site where it is still active. A transaction
-   whose Commit decision is already on stable storage can no longer be
-   aborted (2PC: the decision is final); its commits are retried instead. *)
-let mark_dead sim gid reason ~aborting_site =
-  if
-    Gtm1.is_known sim.gtm1 gid
-    && (not (Gtm1.is_dead sim.gtm1 gid))
-    && not (commit_decided sim gid)
-  then begin
-    Gtm1.mark_dead sim.gtm1 gid;
-    count_abort sim reason;
-    log_decided sim gid Gtm_log.Abort;
-    Hashtbl.replace sim.death_reason gid reason;
-    (match aborting_site with
-    | Some s -> Gtm1.note_site_terminated sim.gtm1 gid s
-    | None -> ());
-    List.iter
-      (fun s ->
-        schedule sim sim.config.latency_ms (Site_abort (s, gid));
-        Gtm1.note_site_terminated sim.gtm1 gid s)
-      (Gtm1.begun_sites sim.gtm1 gid)
-  end
-
-(* The GTM accepts the acknowledgement of step [pc] — once. Stale
-   acknowledgements (a duplicate, or a message that outlived a retry or a
-   GTM restart) fail the [outstanding] check and die here. *)
-let gtm_accept_ack sim gid pc sid kind failure =
-  if
-    Gtm1.is_known sim.gtm1 gid
-    && Hashtbl.find_opt sim.outstanding gid = Some pc
-  then begin
-    Hashtbl.remove sim.outstanding gid;
-    Gtm_log.append sim.gtm_log (Gtm_log.Acked (gid, pc));
-    (match failure with
-    | Some reason ->
-        mark_dead sim gid reason
-          ~aborting_site:(match kind with Ser_op -> Some sid | Direct_op -> None)
-    | None -> ());
-    match kind with
-    | Ser_op -> Engine.enqueue sim.engine (Queue_op.Ack (gid, sid))
-    | Direct_op ->
-        ignore
-          (end_op_span sim gid
-             ~outcome:(match failure with None -> "acked" | Some r -> r));
-        if Gtm1.is_known sim.gtm1 gid then Gtm1.on_ack sim.gtm1 gid
-  end
+(* The GTM takes a site's answer for step [pc] through the core, which
+   drops stale ones (a duplicate, or a message that outlived a retry or a
+   GTM restart). A direct step's span closes here with [outcome]; a
+   serialization operation's closes when GTM2 forwards its ack. *)
+let accept ?(outcome = "acked") sim gid pc answer =
+  match Coord.reply sim.coord gid ~pc answer with
+  | Some step when not step.Gtm1.via_gtm2 -> ignore (end_op_span sim gid ~outcome)
+  | Some _ | None -> ()
 
 (* Process completions that a site event may have unblocked. *)
 let drain_site sim sid =
@@ -408,7 +337,7 @@ let drain_site sim sid =
           (match kind with
           | Ser_op -> Ser_schedule.record sim.ser_log sid tid
           | Direct_op -> ());
-          ack_to_gtm sim sid tid pc kind None ~extra:(service_at sim sid)
+          ack_to_gtm sim tid pc None ~extra:(service_at sim sid)
       | None -> (
           match Hashtbl.find_opt sim.local_cont tid with
           | Some (cont_sid, rest, _) ->
@@ -417,142 +346,120 @@ let drain_site sim sid =
           | None -> ()))
     (Local_dbms.drain_completions (site sim sid))
 
-(* Drive every admitted global transaction that is not in flight: dispatch
-   its next operation into the (simulated) network, or finish it. *)
-let rec drive sim =
-  let effects = Engine.run sim.engine in
-  List.iter
-    (fun effect ->
-      match effect with
-      | Scheme.Submit_ser (gid, sid) ->
-          if Gtm1.is_dead sim.gtm1 gid then
-            (* Nothing to run at the site: acknowledge internally. *)
-            Engine.enqueue sim.engine (Queue_op.Ack (gid, sid))
-          else begin
-            let action =
-              match Gtm1.current_step sim.gtm1 gid with
-              | Some step when step.Gtm1.site = sid && step.Gtm1.via_gtm2 ->
-                  step.Gtm1.action
-              | Some _ | None -> invalid_arg "Des: Submit_ser mismatch"
-            in
-            (* 2PC decision record: first commit leaves only after every
-               prepare was acknowledged. *)
-            if action = Op.Commit then log_decided sim gid Gtm_log.Commit;
-            send_to_site sim sid gid (Gtm1.pc sim.gtm1 gid) action Ser_op
-              ~attempt:0
-          end
-      | Scheme.Forward_ack (gid, _) ->
-          (match end_op_span sim gid ~outcome:"acked" with
+(* Open the dispatch-to-ack span of the global's current step. *)
+let begin_op_span sim gid name attrs =
+  if sim.obs.Obs.live then
+    let span =
+      if tracing sim then
+        Sink.begin_span sim.obs.Obs.sink
+          ~track:(Sink.txn_track sim.obs.Obs.sink gid)
+          ~attrs name
+      else 0
+    in
+    Hashtbl.replace sim.op_spans gid (span, sim.clock)
+
+(* The core finished an attempt. One a recovered GTM resolved from the log
+   has no client to retry for: aborted, it fails rather than restarts. *)
+let finish_global sim gid outcome ~recovered =
+  let span_outcome =
+    match outcome with
+    | Coord.Committed ->
+        sim.committed_global <- sim.committed_global + 1;
+        sim.live_globals <- sim.live_globals - 1;
+        sim.last_commit <- sim.clock;
+        (match Hashtbl.find_opt sim.started gid with
+        | Some started ->
+            sim.responses <- (sim.clock -. started) :: sim.responses;
+            if sim.obs.Obs.live && not recovered then
+              Metrics.observe sim.m_response (sim.clock -. started)
+        | None -> ());
+        if recovered then "recovered-commit" else "committed"
+    | Coord.Aborted reason -> (
+        match Hashtbl.find_opt sim.budgets gid with
+        | Some (txn, budget) when budget > 0 && not recovered ->
+            sim.restarts <- sim.restarts + 1;
+            let clone = { txn with Txn.id = Types.fresh_tid () } in
+            (* Back off a little before retrying. *)
+            schedule sim (2.0 *. sim.config.latency_ms)
+              (Global_arrival (clone, budget - 1, Hashtbl.find sim.started gid));
+            "restart:" ^ reason
+        | _ ->
+            sim.failed_global <- sim.failed_global + 1;
+            sim.live_globals <- sim.live_globals - 1;
+            if recovered then "recovered-abort" else "failed:" ^ reason)
+  in
+  if recovered then sim.in_doubt_resolved <- sim.in_doubt_resolved + 1;
+  end_txn_span sim gid ~outcome:span_outcome;
+  Hashtbl.remove sim.budgets gid
+
+(* Carry out the coordinator's effects in simulated time. Its log records
+   double as the trace: a serialization operation's span opens when it is
+   dispatched to GTM2 and closes when its ack is forwarded; a decision is an
+   instant. *)
+let perform sim coord = function
+  | Coord.Run { gid; pc; site = sid; action; ser } ->
+      if not ser then
+        begin_op_span sim gid "op"
+          [ ("action", Op.action_to_string action); ("site", string_of_int sid) ];
+      send_to_site sim sid gid pc action (if ser then Ser_op else Direct_op)
+        ~attempt:0
+  | Coord.Rollback (gid, sid) | Coord.Resolve (gid, sid, Gtm_log.Abort) ->
+      schedule sim sim.config.latency_ms (Site_abort (sid, gid))
+  | Coord.Resolve (gid, sid, Gtm_log.Commit) ->
+      schedule sim sim.config.latency_ms (Recovery_commit (sid, gid))
+  | Coord.Log record -> (
+      Gtm_log.append sim.gtm_log record;
+      let ser_step gid =
+        match Coord.current_step coord gid with
+        | Some step when step.Gtm1.via_gtm2 -> Some step.Gtm1.site
+        | Some _ | None -> None
+      in
+      match record with
+      | Gtm_log.Dispatched (gid, _) -> (
+          match ser_step gid with
+          | Some sid -> begin_op_span sim gid "ser" [ ("site", string_of_int sid) ]
+          | None -> ())
+      | Gtm_log.Acked (gid, _) when ser_step gid <> None -> (
+          match end_op_span sim gid ~outcome:"acked" with
           | Some t0 when sim.obs.Obs.live ->
               Metrics.observe sim.m_ser_latency (sim.clock -. t0)
-          | Some _ | None -> ());
-          if Gtm1.is_known sim.gtm1 gid then Gtm1.on_ack sim.gtm1 gid
-      | Scheme.Abort_global gid ->
-          ignore (end_op_span sim gid ~outcome:"gtm2-abort");
-          mark_dead sim gid "gtm2-abort" ~aborting_site:None;
-          if Gtm1.is_known sim.gtm1 gid then Gtm1.on_ack sim.gtm1 gid)
-    effects;
-  let dispatched = ref false in
-  List.iter
-    (fun gid ->
-      match Gtm1.next sim.gtm1 gid with
-      | Gtm1.In_flight -> ()
-      | Gtm1.Finished -> if finish_global sim gid then dispatched := true
-      | Gtm1.Dispatch_ser sid ->
-          Gtm_log.append sim.gtm_log (Gtm_log.Dispatched (gid, Gtm1.pc sim.gtm1 gid));
-          Gtm1.note_dispatched sim.gtm1 gid;
-          (if sim.obs.Obs.live then
-             let span =
-               if tracing sim then
-                 Sink.begin_span sim.obs.Obs.sink
-                   ~track:(Sink.txn_track sim.obs.Obs.sink gid)
-                   ~attrs:[ ("site", string_of_int sid) ]
-                   "ser"
-               else 0
-             in
-             Hashtbl.replace sim.op_spans gid (span, sim.clock));
-          Engine.enqueue sim.engine (Queue_op.Ser (gid, sid));
-          dispatched := true
-      | Gtm1.Dispatch_direct step ->
-          let pc = Gtm1.pc sim.gtm1 gid in
-          Gtm_log.append sim.gtm_log (Gtm_log.Dispatched (gid, pc));
-          if step.Gtm1.action = Op.Commit && not (Gtm1.is_dead sim.gtm1 gid) then
-            log_decided sim gid Gtm_log.Commit;
-          Gtm1.note_dispatched sim.gtm1 gid;
-          (if sim.obs.Obs.live then
-             let span =
-               if tracing sim then
-                 Sink.begin_span sim.obs.Obs.sink
-                   ~track:(Sink.txn_track sim.obs.Obs.sink gid)
-                   ~attrs:
-                     [
-                       ("action", Op.action_to_string step.Gtm1.action);
-                       ("site", string_of_int step.Gtm1.site);
-                     ]
-                   "op"
-               else 0
-             in
-             Hashtbl.replace sim.op_spans gid (span, sim.clock));
-          send_to_site sim step.Gtm1.site gid pc step.Gtm1.action Direct_op
-            ~attempt:0;
-          dispatched := true)
-    (Gtm1.active sim.gtm1);
-  if !dispatched || not (Engine.idle sim.engine) then drive sim
+          | Some _ | None -> ())
+      | Gtm_log.Decided (gid, d) ->
+          if d = Gtm_log.Abort then
+            count_abort sim
+              (Option.value (Coord.death_reason coord gid) ~default:"gtm-crash");
+          if tracing sim then
+            Sink.instant sim.obs.Obs.sink
+              ~track:(Sink.txn_track sim.obs.Obs.sink gid)
+              ~attrs:
+                [
+                  ( "decision",
+                    match d with Gtm_log.Commit -> "commit" | Gtm_log.Abort -> "abort"
+                  );
+                ]
+              "2pc.decision"
+      | _ -> ())
+  | Coord.Finish { gid; outcome; recovered } -> finish_global sim gid outcome ~recovered
 
-and finish_global sim gid =
-  if Hashtbl.mem sim.fin_enqueued gid then false
-  else begin
-    Hashtbl.replace sim.fin_enqueued gid ();
-    Engine.enqueue sim.engine (Queue_op.Fin gid);
-    let started = Hashtbl.find sim.started gid in
-    (if Gtm1.is_dead sim.gtm1 gid then begin
-       let reason =
-         match Hashtbl.find_opt sim.death_reason gid with
-         | Some r -> r
-         | None -> "aborted"
-       in
-       let txn, budget = Hashtbl.find sim.budgets gid in
-       if budget > 0 then begin
-         sim.restarts <- sim.restarts + 1;
-         end_txn_span sim gid ~outcome:("restart:" ^ reason);
-         let clone = { txn with Txn.id = Types.fresh_tid () } in
-         (* Back off a little before retrying. *)
-         schedule sim (2.0 *. sim.config.latency_ms)
-           (Global_arrival (clone, budget - 1, started))
-       end
-       else begin
-         sim.failed_global <- sim.failed_global + 1;
-         sim.live_globals <- sim.live_globals - 1;
-         end_txn_span sim gid ~outcome:("failed:" ^ reason)
-       end
-     end
-     else begin
-       log_decided sim gid Gtm_log.Commit;
-       sim.committed_global <- sim.committed_global + 1;
-       sim.live_globals <- sim.live_globals - 1;
-       sim.last_commit <- sim.clock;
-       sim.responses <- (sim.clock -. started) :: sim.responses;
-       if sim.obs.Obs.live then
-         Metrics.observe sim.m_response (sim.clock -. started);
-       end_txn_span sim gid ~outcome:"committed"
-     end);
-    Gtm_log.append sim.gtm_log (Gtm_log.Finished gid);
-    Hashtbl.remove sim.budgets gid;
-    Gtm1.finish sim.gtm1 gid;
-    true
-  end
+(* GTM2 for the current incarnation. A serialization operation the scheme
+   refuses closes its span here. *)
+let gtm2 sim ops =
+  Engine.enqueue_all sim.engine ops;
+  let effects = Engine.run sim.engine in
+  List.iter
+    (function
+      | Scheme.Abort_global gid -> ignore (end_op_span sim gid ~outcome:"gtm2-abort")
+      | Scheme.Submit_ser _ | Scheme.Forward_ack _ -> ())
+    effects;
+  effects
+
+let new_coord sim =
+  Coord.create ~atomic:sim.config.atomic_commit
+    ~protocol_of:(fun sid -> Local_dbms.protocol_kind (site sim sid))
+    ~gtm2:(gtm2 sim) ~perform:(perform sim) ()
 
 let admit_global sim txn budget started =
-  let ser_point_of sid =
-    let dbms = site sim sid in
-    if sim.config.atomic_commit then
-      Ser_fun.for_protocol_atomic (Local_dbms.protocol_kind dbms)
-    else Local_dbms.serialization_point dbms
-  in
-  let info =
-    Gtm1.admit sim.gtm1 txn ~atomic:sim.config.atomic_commit ~ser_point_of ()
-  in
-  Gtm_log.append sim.gtm_log (Gtm_log.Admitted (txn, sim.config.atomic_commit));
+  Coord.admit sim.coord txn;
   sim.global_attempts <- txn :: sim.global_attempts;
   Hashtbl.replace sim.started txn.Txn.id started;
   Hashtbl.replace sim.budgets txn.Txn.id (txn, budget);
@@ -566,24 +473,22 @@ let admit_global sim txn budget started =
                String.concat "," (List.map string_of_int (Txn.sites txn)) );
              ("budget", string_of_int budget);
            ]
-         "txn");
-  Engine.enqueue sim.engine (Queue_op.Init info)
+         "txn")
 
 let handle_site_deliver sim sid tid pc action kind =
-  if not (Gtm1.is_known sim.gtm1 tid) then ()
-  else if Gtm1.is_dead sim.gtm1 tid then begin
+  if not (Coord.is_known sim.coord tid) then ()
+  else if Coord.is_dead sim.coord tid then begin
     (* The rollback raced this operation; acknowledge without executing. *)
     match kind with
-    | Ser_op -> gtm_accept_ack sim tid pc sid Ser_op None
-    | Direct_op -> send_link sim ~extra:0.0 (Gtm_direct_ack (tid, pc, None))
+    | Ser_op -> accept sim tid pc Coord.Done
+    | Direct_op -> ack_to_gtm sim tid pc None ~extra:0.0
   end
   else begin
     let dbms = site sim sid in
     if sim.faults_enabled && Hashtbl.mem sim.dedup (sid, tid, pc) then
       (* Redelivery of an executed operation: re-acknowledge the cached
          outcome; never re-execute, never re-record ser(S). *)
-      ack_to_gtm sim sid tid pc kind (Hashtbl.find sim.dedup (sid, tid, pc))
-        ~extra:0.0
+      ack_to_gtm sim tid pc (Hashtbl.find sim.dedup (sid, tid, pc)) ~extra:0.0
     else if sim.faults_enabled && Hashtbl.mem sim.pending_global (sid, tid) then
       (* Redelivery of an operation still blocked here: its eventual
          completion produces the (single) acknowledgement. *)
@@ -595,7 +500,7 @@ let handle_site_deliver sim sid tid pc action kind =
       (* Retried prepare for a transaction already prepared (and carried
          through a site crash): the vote stands. *)
       Hashtbl.replace sim.dedup (sid, tid, pc) None;
-      ack_to_gtm sim sid tid pc kind None ~extra:0.0
+      ack_to_gtm sim tid pc None ~extra:0.0
     end
     else if
       sim.faults_enabled && action <> Op.Begin
@@ -608,8 +513,8 @@ let handle_site_deliver sim sid tid pc action kind =
          the transaction durable here. Anything else means the
          subtransaction's work was lost in the crash: vote no. *)
       match action with
-      | Op.Commit | Op.Abort -> ack_to_gtm sim sid tid pc kind None ~extra:0.0
-      | _ -> ack_to_gtm sim sid tid pc kind (Some "site-amnesia") ~extra:0.0
+      | Op.Commit | Op.Abort -> ack_to_gtm sim tid pc None ~extra:0.0
+      | _ -> ack_to_gtm sim tid pc (Some "site-amnesia") ~extra:0.0
     end
     else begin
       declare_if_needed sim tid sid action;
@@ -635,7 +540,7 @@ let handle_site_deliver sim sid tid pc action kind =
           (match kind with
           | Ser_op -> Ser_schedule.record sim.ser_log sid tid
           | Direct_op -> ());
-          ack_to_gtm sim sid tid pc kind None ~extra:(service_at sim sid);
+          ack_to_gtm sim tid pc None ~extra:(service_at sim sid);
           drain_site sim sid
       | Local_dbms.Waiting ->
           Hashtbl.replace sim.pending_global (sid, tid) (kind, pc, sim.clock);
@@ -657,7 +562,7 @@ let handle_site_deliver sim sid tid pc action kind =
           in
           if sim.faults_enabled then
             Hashtbl.replace sim.dedup (sid, tid, pc) (Some reason);
-          ack_to_gtm sim sid tid pc kind (Some reason) ~extra:0.0;
+          ack_to_gtm sim tid pc (Some reason) ~extra:0.0;
           drain_site sim sid
     end
   end
@@ -689,15 +594,15 @@ let handle_local_step sim sid tid actions =
 let deadlock_scan sim =
   let victims =
     Hashtbl.fold
-      (fun (sid, gid) (kind, pc, since) acc ->
+      (fun (sid, gid) (_, pc, since) acc ->
         if sim.clock -. since >= sim.config.deadlock_timeout_ms then
-          (gid, sid, kind, pc) :: acc
+          (gid, sid, pc) :: acc
         else acc)
       sim.pending_global []
   in
-  match List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) victims with
+  match List.sort (fun (a, _, _) (b, _, _) -> compare b a) victims with
   | [] -> ()
-  | (gid, sid, kind, pc) :: _ ->
+  | (gid, sid, pc) :: _ ->
       sim.forced_aborts <- sim.forced_aborts + 1;
       Hashtbl.remove sim.pending_global (sid, gid);
       end_blocked_span sim (sid, gid) ~outcome:"deadlock-timeout";
@@ -706,10 +611,10 @@ let deadlock_scan sim =
           ~track:(Sink.txn_track sim.obs.Obs.sink gid)
           ~attrs:[ ("site", string_of_int sid) ]
           "deadlock.kill";
+      (* The site gives up the blocked operation: the GTM hears a refusal. *)
       ignore (Local_dbms.submit (site sim sid) gid Op.Abort);
       resolve_prepared sim sid gid;
-      mark_dead sim gid "global-deadlock" ~aborting_site:(Some sid);
-      gtm_accept_ack sim gid pc sid kind None;
+      accept sim gid pc (Coord.Refused "global-deadlock");
       drain_site sim sid
 
 (* --- fault application ------------------------------------------------- *)
@@ -755,27 +660,15 @@ let apply_site_crash sim sid =
   (* Global subtransactions that reached this site without preparing were
      wiped (including any whose current operation targeted the site — its
      outcome, if any, is unrecoverable). In-doubt ones survive. *)
-  let in_doubt = Local_dbms.in_doubt dbms in
-  List.iter
-    (fun gid ->
-      let touched =
-        List.mem sid (Gtm1.begun_sites sim.gtm1 gid)
-        ||
-        match (Gtm1.current_step sim.gtm1 gid, Hashtbl.find_opt sim.outstanding gid) with
-        | Some step, Some _ -> step.Gtm1.site = sid
-        | _ -> false
-      in
-      if touched && not (List.mem gid in_doubt) then
-        mark_dead sim gid "site-crash" ~aborting_site:(Some sid))
-    (Gtm1.active sim.gtm1)
+  Coord.site_crash sim.coord sid ~in_doubt:(Local_dbms.in_doubt dbms)
 
 (* Crash and restart the GTM. Volatile state — GTM1 program counters, the
    engine's QUEUE/WAIT, the scheme's structures, in-flight message
    bookkeeping — is lost; the durable log survives. Recovery is presumed
    abort: unfinished transactions with a logged Commit decision are
    completed at every site; all others are aborted everywhere. Messages of
-   the previous incarnation still in the network die against the
-   [is_known]/[outstanding] guards. *)
+   the previous incarnation still in the network die against the new
+   core's reply matching. *)
 let apply_gtm_crash sim =
   sim.gtm_recoveries <- sim.gtm_recoveries + 1;
   sim.ser_waits <- sim.ser_waits + Engine.ser_wait_insertions sim.engine;
@@ -783,51 +676,16 @@ let apply_gtm_crash sim =
      replaced; they are the deepest frames on their transactions' tracks. *)
   Engine.close_open_spans sim.engine ~reason:"gtm-crash";
   sim.engine <- Engine.create ~obs:sim.obs (sim.make_scheme ());
-  sim.gtm1 <- Gtm1.create ();
-  Hashtbl.reset sim.outstanding;
-  let entries = Gtm_log.analyze sim.gtm_log in
+  sim.coord <- new_coord sim;
   if tracing sim then
     Sink.instant sim.obs.Obs.sink ~track:sim.gtm_track
-      ~attrs:[ ("unfinished", string_of_int (List.length entries)) ]
+      ~attrs:
+        [
+          ( "unfinished",
+            string_of_int (List.length (Gtm_log.analyze sim.gtm_log)) );
+        ]
       "gtm.crash";
-  List.iter
-    (fun (entry : Gtm_log.entry) ->
-      let gid = entry.Gtm_log.txn.Txn.id in
-      let sids = Txn.sites entry.Gtm_log.txn in
-      sim.in_doubt_resolved <- sim.in_doubt_resolved + 1;
-      end_txn_span sim gid
-        ~outcome:
-          (match entry.Gtm_log.decision with
-          | Some Gtm_log.Commit -> "recovered-commit"
-          | Some Gtm_log.Abort | None -> "recovered-abort");
-      (match entry.Gtm_log.decision with
-      | Some Gtm_log.Commit ->
-          List.iter
-            (fun sid -> schedule sim sim.config.latency_ms (Recovery_commit (sid, gid)))
-            sids;
-          sim.committed_global <- sim.committed_global + 1;
-          sim.live_globals <- sim.live_globals - 1;
-          sim.last_commit <- sim.clock;
-          (match Hashtbl.find_opt sim.started gid with
-          | Some started -> sim.responses <- (sim.clock -. started) :: sim.responses
-          | None -> ())
-      | Some Gtm_log.Abort | None ->
-          (* A logged Abort was already counted when it was decided; only
-             the presumed aborts are new. *)
-          if entry.Gtm_log.decision = None then begin
-            Gtm_log.append sim.gtm_log (Gtm_log.Decided (gid, Gtm_log.Abort));
-            count_abort sim "gtm-crash"
-          end;
-          List.iter
-            (fun sid -> schedule sim sim.config.latency_ms (Site_abort (sid, gid)))
-            sids;
-          (* The restarted GTM has no client to retry for: the transaction
-             fails rather than restarts. *)
-          sim.failed_global <- sim.failed_global + 1;
-          sim.live_globals <- sim.live_globals - 1);
-      Hashtbl.remove sim.budgets gid;
-      Gtm_log.append sim.gtm_log (Gtm_log.Finished gid))
-    entries
+  Coord.recover sim.coord sim.gtm_log
 
 let apply_fault sim = function
   | Fault.Site_crash sid -> apply_site_crash sim sid
@@ -853,44 +711,42 @@ let handle_event sim event =
   | Site_abort (sid, gid) ->
       Hashtbl.remove sim.pending_global (sid, gid);
       end_blocked_span sim (sid, gid) ~outcome:"aborted";
-      if (not sim.faults_enabled) || Local_dbms.is_active (site sim sid) gid then
+      if Local_dbms.is_active (site sim sid) gid then
         ignore (Local_dbms.submit (site sim sid) gid Op.Abort);
       resolve_prepared sim sid gid;
       drain_site sim sid
   | Local_step (sid, tid, actions) ->
       if not (Hashtbl.mem sim.dead_local tid) then
         handle_local_step sim sid tid actions
-  | Gtm_ser_ack (gid, pc, sid, failure) -> gtm_accept_ack sim gid pc sid Ser_op failure
-  | Gtm_direct_ack (gid, pc, failure) ->
-      gtm_accept_ack sim gid pc 0 Direct_op failure
+  | Gtm_ack (gid, pc, None) -> accept sim gid pc Coord.Done
+  | Gtm_ack (gid, pc, Some reason) ->
+      accept ~outcome:reason sim gid pc (Coord.Refused reason)
   | Deadlock_scan ->
       deadlock_scan sim;
       if sim.live_globals > 0 then
         schedule sim sim.config.deadlock_timeout_ms Deadlock_scan
   | Fault_event fault -> apply_fault sim fault
   | Retry_check (gid, pc, attempt) ->
-      if
-        Gtm1.is_known sim.gtm1 gid
-        && Hashtbl.find_opt sim.outstanding gid = Some pc
-      then begin
+      if Coord.awaiting sim.coord gid = Some pc then begin
         let step =
-          match Gtm1.current_step sim.gtm1 gid with
+          match Coord.current_step sim.coord gid with
           | Some s -> s
           | None -> assert false
         in
         let kind = if step.Gtm1.via_gtm2 then Ser_op else Direct_op in
-        if Gtm1.is_dead sim.gtm1 gid then
+        if Coord.is_dead sim.coord gid then
           (* Dead and its resolution message was lost: complete the step
              internally so the transaction drains. *)
-          gtm_accept_ack sim gid pc step.Gtm1.site kind None
-        else if attempt >= sim.config.max_retries && not (commit_decided sim gid)
-        then begin
+          accept sim gid pc Coord.Done
+        else if
+          attempt >= sim.config.max_retries
+          && (not (Coord.commit_decided sim.coord gid))
+          && Coord.kill sim.coord gid "retry-exhausted"
+        then
           (* Retries exhausted before a decision: presume the site
              unreachable and abort. A decided Commit is never abandoned —
              it keeps retrying (the site will answer eventually). *)
-          mark_dead sim gid "retry-exhausted" ~aborting_site:None;
-          gtm_accept_ack sim gid pc step.Gtm1.site kind None
-        end
+          accept sim gid pc Coord.Done
         else begin
           sim.retries <- sim.retries + 1;
           if tracing sim then
@@ -971,7 +827,10 @@ let run_scheme config make_scheme =
     {
       config;
       engine = Engine.create ~obs first_scheme;
-      gtm1 = Gtm1.create ();
+      (* A core with no effects until [sim] exists; replaced below. *)
+      coord =
+        Coord.create ~atomic:false ~protocol_of:(fun _ -> Types.Two_phase_locking)
+          ~gtm2:(fun _ -> []) ~perform:(fun _ _ -> ()) ();
       make_scheme;
       gtm_log = Gtm_log.create ();
       site_tbl;
@@ -989,12 +848,8 @@ let run_scheme config make_scheme =
       pending_global = Hashtbl.create 32;
       local_cont = Hashtbl.create 32;
       started = Hashtbl.create 64;
-      fin_enqueued = Hashtbl.create 64;
-      death_reason = Hashtbl.create 16;
       budgets = Hashtbl.create 64;
-      outstanding = Hashtbl.create 32;
       dedup = Hashtbl.create 256;
-      decided = Hashtbl.create 64;
       slow = Hashtbl.create 4;
       dead_local = Hashtbl.create 16;
       live_local_at = Hashtbl.create 32;
@@ -1028,6 +883,7 @@ let run_scheme config make_scheme =
       gtm_track = Sink.track obs.Obs.sink "gtm";
     }
   in
+  sim.coord <- new_coord sim;
   (* Span/metric timestamps are simulated time, read live off the clock. *)
   Obs.set_clock obs (fun () -> sim.clock);
   if obs.Obs.live then
@@ -1069,7 +925,7 @@ let run_scheme config make_scheme =
         if !steps > 2_000_000 then failwith "Des: event budget exceeded";
         sim.clock <- time;
         handle_event sim event;
-        drive sim
+        ignore (Coord.pump sim.coord)
   done;
   (* Close anything still open so exported traces are well-formed: the
      engine's wait spans are deepest, then each surviving transaction's

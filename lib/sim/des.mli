@@ -9,9 +9,12 @@
     ("delaying an operation of ser(S) may correspond to delaying the
     execution of an entire global subtransaction").
 
-    The machinery reuses the real components: GTM1, the GTM2 engine with
-    any scheme, and the per-site local DBMSs. Only the transport is
-    simulated. All randomness is seeded; runs are deterministic.
+    The machinery reuses the real components: the coordinator core
+    ({!Mdbs_core.Coord}: GTM1 and every per-global rule, shared with the
+    service runtime), the GTM2 engine with any scheme, and the per-site
+    local DBMSs. The simulator keeps only its event heap and transport, its
+    victim policy (the deadlock-timeout scan), restart budgets and spans.
+    All randomness is seeded; runs are deterministic.
 
     {2 Faults}
 

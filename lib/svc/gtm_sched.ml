@@ -2,18 +2,9 @@ module Engine = Mdbs_core.Engine
 module Scheme = Mdbs_core.Scheme
 module Queue_op = Mdbs_core.Queue_op
 
-type t = {
-  engine : Engine.t;
-  mutex : Mutex.t;
-  nonidle : Condition.t;
-}
+type t = { engine : Engine.t; mutex : Mutex.t }
 
-let create ?obs scheme =
-  {
-    engine = Engine.create ?obs scheme;
-    mutex = Mutex.create ();
-    nonidle = Condition.create ();
-  }
+let create ?obs scheme = { engine = Engine.create ?obs scheme; mutex = Mutex.create () }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -25,31 +16,10 @@ let locked t f =
       Mutex.unlock t.mutex;
       raise e
 
-let scheme_name t = (Engine.scheme t.engine).Scheme.name
-
-let enqueue t op =
-  locked t (fun e ->
-      Engine.enqueue e op;
-      Condition.signal t.nonidle)
-
-let run t = locked t Engine.run
-
 let run_ops t ops =
   locked t (fun e ->
       Engine.enqueue_all e ops;
-      if ops <> [] then Condition.signal t.nonidle;
       Engine.run e)
-
-let wait_nonidle t =
-  Mutex.lock t.mutex;
-  while Engine.idle t.engine do
-    Condition.wait t.nonidle t.mutex
-  done;
-  Mutex.unlock t.mutex
-
-let idle t = locked t Engine.idle
-
-let wait_size t = locked t Engine.wait_size
 
 let stalled t =
   locked t (fun e ->

@@ -6,23 +6,13 @@
     every engine call behind this lock — the scheduler itself is the
     paper's, verbatim, and the certifier later checks that what the
     parallel runtime released really was serializable. The GTM domain is
-    the only caller of {!enqueue}/{!run}; monitoring threads use
-    {!stalled}/{!wait_size} concurrently (same lock), reusing each scheme's
-    [explain] for live stall attribution. A condition variable is signalled
-    on every enqueue so {!wait_nonidle} can park a driver between bursts. *)
+    the only caller of {!run_ops}; monitoring threads use
+    {!stalled}/{!wait_gids} concurrently (same lock), reusing each scheme's
+    [explain] for live stall attribution. *)
 
 type t
 
 val create : ?obs:Mdbs_obs.Obs.t -> Mdbs_core.Scheme.t -> t
-
-val scheme_name : t -> string
-
-val enqueue : t -> Mdbs_core.Queue_op.t -> unit
-(** Lock, insert at the back of QUEUE, signal. *)
-
-val run : t -> Mdbs_core.Scheme.effect_ list
-(** Lock and process QUEUE to emptiness (Figure 3), returning the emitted
-    effects in order. *)
 
 val run_ops : t -> Mdbs_core.Queue_op.t list -> Mdbs_core.Scheme.effect_ list
 (** [run_ops t ops]: one lock acquisition for a whole batch — enqueue
@@ -31,15 +21,8 @@ val run_ops : t -> Mdbs_core.Queue_op.t list -> Mdbs_core.Scheme.effect_ list
     section is a pure state transition (scheme bookkeeping only); the
     returned effects — site dispatches, acks, aborts — are executed by
     the caller {e outside} the lock, so monitoring threads
-    ({!stalled}/{!wait_size}) are never blocked behind I/O or mailbox
+    ({!stalled}/{!wait_gids}) are never blocked behind I/O or mailbox
     traffic. *)
-
-val wait_nonidle : t -> unit
-(** Block until QUEUE is non-empty (signalled by {!enqueue}). *)
-
-val idle : t -> bool
-
-val wait_size : t -> int
 
 val stalled : t -> (string * string) list
 (** Snapshot of the WAIT set with reasons: [(op, explain op)] for every

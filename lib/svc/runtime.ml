@@ -1,9 +1,8 @@
 open Mdbs_model
 module Local_dbms = Mdbs_site.Local_dbms
-module Cc_types = Mdbs_lcc.Cc_types
 module Gtm1 = Mdbs_core.Gtm1
+module Coord = Mdbs_core.Coord
 module Scheme = Mdbs_core.Scheme
-module Queue_op = Mdbs_core.Queue_op
 module Engine = Mdbs_core.Engine
 module Obs = Mdbs_obs.Obs
 module Sink = Mdbs_obs.Sink
@@ -83,12 +82,6 @@ type msg =
       (** One coalesced wakeup's worth of worker replies, in execution
           order. *)
   | Tick
-
-(* What an outstanding Exec correlation id stands for. *)
-type inflight =
-  | Ser_req of Types.gid * Types.sid  (** A routed serialization operation. *)
-  | Direct_req of Types.gid  (** A GTM1 step dispatched straight to a site. *)
-  | Fire  (** Fire-and-forget (rollbacks, in-doubt resolution). *)
 
 type stats = {
   admitted : int;
@@ -170,8 +163,6 @@ type shared = {
   clock : Clock.t;
   obs : Obs.t;
   sink_mutex : Mutex.t;
-  ser_points : (Types.sid, Ser_fun.point) Hashtbl.t;
-  needs_decl : (Types.sid, bool) Hashtbl.t;
   protocols : (Types.sid * Types.protocol_kind) list;
   accepting : bool Atomic.t;
   draining : bool Atomic.t;
@@ -218,45 +209,38 @@ type t = {
 
 (* ------------------------------------------------------- GTM domain state *)
 
-(* The GTM domain's private state. Two batch buffers amortize the hot
-   path: [pending_ops] collects every GTM2 queue operation produced while
-   a drained inbox batch is handled, so the engine lock is taken once per
-   pump round instead of once per operation; [outbox] collects every site
-   dispatch of the round, flushed as one [Batch] message per site (one
-   mailbox put per site per round), in dispatch order — per-site
-   execution order equals dispatch order, which Theorem 2 needs.
+(* The GTM domain's private state around the coordinator core
+   ({!Mdbs_core.Coord}). Two batch buffers amortize the hot path: the core
+   collects every GTM2 queue operation produced while a drained inbox batch
+   is handled, so the engine lock is taken once per pump round instead of
+   once per operation; [outbox] collects every site dispatch of the round,
+   flushed as one [Batch] message per site (one mailbox put per site per
+   round), in dispatch order — per-site execution order equals dispatch
+   order, which Theorem 2 needs.
 
-   [pending_ser]/[pending_direct] map a blocked (site, gid) to the time
-   it blocked: the stall detector ages each blocked transaction on its
-   own clock instead of waiting for global quiescence. *)
+   [since] stamps when a site answered [Waiting] for a global's current
+   step: the stall detector ages each blocked transaction on its own clock
+   instead of waiting for global quiescence. *)
 
 type gst = {
   sh' : shared;
   worker_of : Types.sid -> Site_worker.t;
-  gtm1 : Gtm1.t;
+  mutable coord : Coord.t;
   ser_log : Ser_schedule.t;
   promises : (Types.tid, Outcome.t Promise.t) Hashtbl.t;
   births : (Types.gid, int) Hashtbl.t;
   admit_times : (Types.gid, float) Hashtbl.t;
       (* admission clock stamp, single-writer (GTM domain): feeds the
          svc_response_ms histogram at finish *)
-  pending_ser : (Types.sid * Types.gid, float) Hashtbl.t;
-  pending_direct : (Types.sid * Types.gid, float) Hashtbl.t;
+  since : (Types.gid, float) Hashtbl.t;
   wounded : (Types.gid, float * int list) Hashtbl.t;
       (* waiter -> (the [since] of its wait, births it wounded in that
          wait): {!Wound}'s once-per-wait rule *)
-  inflight : (int, inflight) Hashtbl.t;
   parked : (Txn.t * int * Outcome.t Promise.t) Queue.t;
-  fin_enqueued : (Types.gid, unit) Hashtbl.t;
-  abort_fired : (Types.gid * Types.sid, unit) Hashtbl.t;
-  death_reason : (Types.gid, string) Hashtbl.t;
-  decided : (Types.gid, bool) Hashtbl.t;  (* true = commit *)
   txn_spans : (Types.gid, int) Hashtbl.t;
-  pending_ops : Queue_op.t Queue.t;
   outbox : (Types.sid, Site_worker.request Queue.t) Hashtbl.t;
   mutable outbox_sites : Types.sid list;  (* sites with queued dispatches *)
   mutable globals_rev : (Types.tid * Types.sid list) list;
-  mutable req_counter : int;
   mutable last_progress : float;
 }
 
@@ -328,32 +312,14 @@ let now g = Clock.now_ms g.sh'.clock
 
 let progress g = g.last_progress <- now g
 
-let next_req g =
-  g.req_counter <- g.req_counter + 1;
-  g.req_counter
-
-let decide_commit g gid =
-  if not (Hashtbl.mem g.decided gid) then Hashtbl.replace g.decided gid true
-
-let decide_abort g gid =
-  if not (Hashtbl.mem g.decided gid) then Hashtbl.replace g.decided gid false
-
-let declaration g gid sid =
-  if Hashtbl.find_opt g.sh'.needs_decl sid = Some true then
-    Some
-      (List.map
-         (fun (item, write) ->
-           (item, if write then Cc_types.Write_mode else Cc_types.Read_mode))
-         (Gtm1.declaration_for g.gtm1 gid sid))
-  else None
+(* A step's request id is its program counter, so the core matches the
+   reply; fire-and-forget requests (rollbacks) carry one no step has. *)
+let no_reply = -1
 
 (* Buffer a dispatch on the site's outbox; {!flush_outbox} ships the
    round. Order within a site is preserved end to end: outbox FIFO →
    Batch list order → worker execution order. *)
-let send_exec g ~kind ~gid ~sid ~action =
-  let req = next_req g in
-  Hashtbl.replace g.inflight req kind;
-  let declare = if action = Op.Begin then declaration g gid sid else None in
+let send_exec g ~req ~gid ~sid ~action ~declare =
   let box =
     match Hashtbl.find_opt g.outbox sid with
     | Some q -> q
@@ -381,52 +347,95 @@ let flush_outbox g =
           | many -> Site_worker.send (g.worker_of sid) (Site_worker.Batch many)))
     (List.rev sites)
 
-(* At most one abort fire per (transaction, site): the site records each
-   rollback in its schedule, and a second fire for an already-rolled-back
-   subtransaction would record a spurious Abort. Kills can reach the same
-   site through several paths (the kill itself, [mark_global_dead]'s sweep
-   over begun sites, a late [Waiting] reply), so dedup here, centrally. *)
-let fire_abort g gid sid =
-  if not (Hashtbl.mem g.abort_fired (gid, sid)) then begin
-    Hashtbl.replace g.abort_fired (gid, sid) ();
-    send_exec g ~kind:Fire ~gid ~sid ~action:Op.Abort
+(* ------------------------------------------------------- transaction end *)
+
+let finish_txn g gid outcome =
+  let final =
+    match outcome with
+    | Coord.Committed -> Outcome.Committed
+    | Coord.Aborted reason -> Outcome.Aborted reason
+  in
+  (match final with
+  | Outcome.Committed ->
+      Atomic.incr g.sh'.a_committed;
+      Metrics.inc g.sh'.m_committed
+  | Outcome.Aborted reason ->
+      Atomic.incr g.sh'.a_aborted;
+      Metrics.inc g.sh'.m_aborted;
+      bump_cause g.sh' (cause_of_reason reason)
+  | Outcome.Shed -> assert false (* sheds never reach admission *));
+  (match Hashtbl.find_opt g.admit_times gid with
+  | Some t0 ->
+      Hashtbl.remove g.admit_times gid;
+      Metrics.observe g.sh'.m_response (now g -. t0)
+  | None -> ());
+  Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0
+    ~name:
+      (match final with
+      | Outcome.Committed -> "txn.commit"
+      | _ -> "txn.abort")
+    (( "gid", string_of_int gid )
+    ::
+    (match final with
+    | Outcome.Aborted reason -> [ ("reason", reason) ]
+    | _ -> []));
+  Atomic.decr g.sh'.a_active;
+  with_sink g (fun sink ->
+      match Hashtbl.find_opt g.txn_spans gid with
+      | Some span ->
+          Hashtbl.remove g.txn_spans gid;
+          Sink.end_span sink
+            ~attrs:[ ("outcome", Outcome.to_string final) ]
+            span
+      | None -> ());
+  Hashtbl.remove g.births gid;
+  Hashtbl.remove g.wounded gid;
+  Hashtbl.remove g.since gid;
+  cert_feed g [ Incremental.End gid ];
+  match Hashtbl.find_opt g.promises gid with
+  | Some p ->
+      Hashtbl.remove g.promises gid;
+      Promise.fulfill p final
+  | None -> ()
+
+(* Carry out the core's effects: steps and rollbacks go to the sites'
+   outboxes, a finished global settles its promise. The service keeps no
+   coordinator log. *)
+let perform g coord = function
+  | Coord.Run { gid; pc; site = sid; action; ser = _ } ->
+      (* The worker predeclares it if its site needs it. *)
+      let declare =
+        if action = Op.Begin then Some (Coord.declaration coord gid sid) else None
+      in
+      send_exec g ~req:pc ~gid ~sid ~action ~declare
+  | Coord.Rollback (gid, sid) | Coord.Resolve (gid, sid, Mdbs_core.Gtm_log.Abort) ->
+      send_exec g ~req:no_reply ~gid ~sid ~action:Op.Abort ~declare:None
+  | Coord.Resolve (gid, sid, Mdbs_core.Gtm_log.Commit) ->
+      send_exec g ~req:no_reply ~gid ~sid ~action:Op.Commit ~declare:None
+  | Coord.Log _ -> ()
+  | Coord.Finish { gid; outcome; recovered = _ } -> finish_txn g gid outcome
+
+(* GTM2 behind its lock. All sink writers (workers' instants, the engine's
+   wait spans) serialize on sink_mutex; lock order is sink_mutex > sched
+   lock. *)
+let gtm2 sh ops =
+  if Sink.enabled sh.obs.Obs.sink then begin
+    Mutex.lock sh.sink_mutex;
+    match Gtm_sched.run_ops sh.sched ops with
+    | effects ->
+        Mutex.unlock sh.sink_mutex;
+        effects
+    | exception ex ->
+        Mutex.unlock sh.sink_mutex;
+        raise ex
   end
-
-let enqueue_op g op = Queue.add op g.pending_ops
-
-let enqueue_ack g gid sid = enqueue_op g (Queue_op.Ack (gid, sid))
-
-let gtm1_ack g gid = Gtm1.on_ack g.gtm1 gid
-
-(* The transaction aborted somewhere (site refusal, crash, deadlock kill):
-   mark it dead and roll back at every site where its subtransaction is
-   still active. Remaining serialization operations stay routed through
-   GTM2 and are fake-acked, so the scheme's data structures drain. *)
-let mark_global_dead g gid reason ~aborting_site =
-  if not (Gtm1.is_dead g.gtm1 gid) then begin
-    Gtm1.mark_dead g.gtm1 gid;
-    decide_abort g gid;
-    Hashtbl.replace g.death_reason gid reason;
-    (match aborting_site with
-    | Some s -> Gtm1.note_site_terminated g.gtm1 gid s
-    | None -> ());
-    List.iter
-      (fun s ->
-        fire_abort g gid s;
-        Gtm1.note_site_terminated g.gtm1 gid s)
-      (Gtm1.begun_sites g.gtm1 gid)
-  end
+  else Gtm_sched.run_ops sh.sched ops
 
 (* ------------------------------------------------------------- admission *)
 
-let ser_point_of g sid =
-  match Hashtbl.find_opt g.sh'.ser_points sid with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "svc: unknown site %d" sid)
-
 let admit_now g txn birth promise =
   let gid = txn.Txn.id in
-  if Gtm1.is_known g.gtm1 gid then begin
+  if Coord.is_known g.coord gid then begin
     (* A tid the GTM is still tracking: admitting it again would make
        ser(S) visit a site twice for one id (retries must reissue under a
        fresh id — {!Txn.with_id}). Refuse without touching any counter. *)
@@ -452,211 +461,51 @@ let admit_now g txn birth promise =
           "svc.txn"
       in
       Hashtbl.replace g.txn_spans gid span);
-  let info =
-    Gtm1.admit g.gtm1 txn ~atomic:g.sh'.cfg_atomic
-      ~ser_point_of:(ser_point_of g) ()
-  in
-  enqueue_op g (Queue_op.Init info);
+  Coord.admit g.coord txn;
   progress g
   end
 
-let admit_parked g progressed =
+let admit_parked g =
+  let admitted = ref false in
   while
     (not (Queue.is_empty g.parked))
     && Atomic.get g.sh'.a_active < g.sh'.cfg_max_active
   do
     let txn, birth, promise = Queue.pop g.parked in
     admit_now g txn birth promise;
-    progressed := true
-  done
-
-(* ------------------------------------------------------- transaction end *)
-
-let finish_txn g gid progressed =
-  if not (Hashtbl.mem g.fin_enqueued gid) then begin
-    Hashtbl.replace g.fin_enqueued gid ();
-    enqueue_op g (Queue_op.Fin gid);
-    let final =
-      if Gtm1.is_dead g.gtm1 gid then
-        Outcome.Aborted
-          (match Hashtbl.find_opt g.death_reason gid with
-          | Some r -> r
-          | None -> "aborted")
-      else Outcome.Committed
-    in
-    (match final with
-    | Outcome.Committed ->
-        decide_commit g gid;
-        Atomic.incr g.sh'.a_committed;
-        Metrics.inc g.sh'.m_committed
-    | Outcome.Aborted reason ->
-        Atomic.incr g.sh'.a_aborted;
-        Metrics.inc g.sh'.m_aborted;
-        bump_cause g.sh' (cause_of_reason reason)
-    | Outcome.Shed -> assert false (* sheds never reach admission *));
-    (match Hashtbl.find_opt g.admit_times gid with
-    | Some t0 ->
-        Hashtbl.remove g.admit_times gid;
-        Metrics.observe g.sh'.m_response (now g -. t0)
-    | None -> ());
-    Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0
-      ~name:
-        (match final with
-        | Outcome.Committed -> "txn.commit"
-        | _ -> "txn.abort")
-      (( "gid", string_of_int gid )
-      ::
-      (match final with
-      | Outcome.Aborted reason -> [ ("reason", reason) ]
-      | _ -> []));
-    Atomic.decr g.sh'.a_active;
-    with_sink g (fun sink ->
-        match Hashtbl.find_opt g.txn_spans gid with
-        | Some span ->
-            Hashtbl.remove g.txn_spans gid;
-            Sink.end_span sink
-              ~attrs:[ ("outcome", Outcome.to_string final) ]
-              span
-        | None -> ());
-    Hashtbl.remove g.births gid;
-    Hashtbl.remove g.wounded gid;
-    Gtm1.finish g.gtm1 gid;
-    cert_feed g [ Incremental.End gid ];
-    (match Hashtbl.find_opt g.promises gid with
-    | Some p ->
-        Hashtbl.remove g.promises gid;
-        Promise.fulfill p final
-    | None -> ());
-    progressed := true
-  end
-
-(* ------------------------------------------------- driving GTM1 programs *)
-
-let drive_global g gid progressed =
-  match Gtm1.next g.gtm1 gid with
-  | Gtm1.In_flight -> ()
-  | Gtm1.Finished -> finish_txn g gid progressed
-  | Gtm1.Dispatch_ser sid ->
-      Gtm1.note_dispatched g.gtm1 gid;
-      enqueue_op g (Queue_op.Ser (gid, sid));
-      progressed := true
-  | Gtm1.Dispatch_direct step ->
-      let sid = step.Gtm1.site and action = step.Gtm1.action in
-      if action = Op.Commit && not (Gtm1.is_dead g.gtm1 gid) then
-        decide_commit g gid;
-      Gtm1.note_dispatched g.gtm1 gid;
-      send_exec g ~kind:(Direct_req gid) ~gid ~sid ~action;
-      progressed := true
-
-(* ---------------------------------------------------------- GTM2 effects *)
-
-let handle_effect g progressed = function
-  | Scheme.Submit_ser (gid, sid) ->
-      progressed := true;
-      if Gtm1.is_dead g.gtm1 gid then enqueue_ack g gid sid
-      else begin
-        let action =
-          match Gtm1.current_step g.gtm1 gid with
-          | Some step when step.Gtm1.site = sid && step.Gtm1.via_gtm2 ->
-              step.Gtm1.action
-          | Some _ | None ->
-              invalid_arg "svc: Submit_ser does not match current step"
-        in
-        (* Under 2PC, reaching a commit step means every prepare was
-           acknowledged: record the global verdict before the first commit
-           message leaves the GTM. *)
-        if action = Op.Commit then decide_commit g gid;
-        send_exec g ~kind:(Ser_req (gid, sid)) ~gid ~sid ~action
-      end
-  | Scheme.Forward_ack (gid, _) ->
-      progressed := true;
-      gtm1_ack g gid
-  | Scheme.Abort_global gid ->
-      (* Non-conservative scheme refused the serialization operation. *)
-      progressed := true;
-      mark_global_dead g gid "gtm2-abort" ~aborting_site:None;
-      if Gtm1.is_known g.gtm1 gid then gtm1_ack g gid
+    admitted := true
+  done;
+  !admitted
 
 (* ----------------------------------------------------------- site replies *)
 
-let take_inflight g req =
-  match Hashtbl.find_opt g.inflight req with
-  | Some kind ->
-      Hashtbl.remove g.inflight req;
-      Some kind
-  | None -> None
-
-(* A kill can land while a step is in flight: the victim then had nothing
-   pending to fake-ack, and an in-flight Begin is not yet among its begun
-   sites, so the kill's rollback sweep missed the site that just executed
-   the step. Roll it back there — unless the step was that site's Commit,
-   which already terminated the subtransaction. Call before the ack. *)
-let abort_if_dead g gid sid =
-  if Gtm1.is_dead g.gtm1 gid then
-    match Gtm1.current_step g.gtm1 gid with
-    | Some { Gtm1.action = Op.Commit; _ } -> ()
-    | _ -> fire_abort g gid sid
+(* Hand a site's answer to the core; a serialization operation that
+   executed joins ser(S). Returns whether the core took it. *)
+let answer g gid ?pc r =
+  match Coord.reply g.coord gid ?pc r with
+  | Some step ->
+      if r = Coord.Done && step.Gtm1.via_gtm2 then begin
+        let sid = step.Gtm1.site in
+        if g.sh'.retain_audit then Ser_schedule.record g.ser_log sid gid;
+        cert_feed g [ Incremental.Ser (gid, sid) ]
+      end;
+      true
+  | None -> false
 
 let handle_reply g progressed = function
-  | Site_worker.Executed { req; sid; tid = _ } -> (
-      match take_inflight g req with
-      | Some (Ser_req (gid, s)) ->
-          progressed := true;
-          if g.sh'.retain_audit then Ser_schedule.record g.ser_log s gid;
-          cert_feed g [ Incremental.Ser (gid, s) ];
-          abort_if_dead g gid s;
-          enqueue_ack g gid s
-      | Some (Direct_req gid) ->
-          progressed := true;
-          abort_if_dead g gid sid;
-          gtm1_ack g gid
-      | Some Fire | None -> ignore sid)
-  | Site_worker.Waiting { req; sid; tid } -> (
-      (* A kill may land while this reply is in flight: the victim was
-         marked dead with nothing in the pending tables, so nobody will
-         ever fake-ack the step. Parking the entry now would wedge the
-         drain forever (a dead waiter no tick can kill). Discard the
-         queued operation at the site and complete the protocol instead. *)
-      match take_inflight g req with
-      | Some (Ser_req (gid, s)) ->
-          if Gtm1.is_dead g.gtm1 gid then begin
-            progressed := true;
-            fire_abort g gid s;
-            enqueue_ack g gid s
-          end
-          else Hashtbl.replace g.pending_ser (s, gid) (now g)
-      | Some (Direct_req gid) ->
-          if Gtm1.is_dead g.gtm1 gid then begin
-            progressed := true;
-            fire_abort g gid sid;
-            gtm1_ack g gid
-          end
-          else Hashtbl.replace g.pending_direct (sid, gid) (now g)
-      | Some Fire | None -> ignore tid)
-  | Site_worker.Refused { req; sid; tid = _; reason } -> (
-      match take_inflight g req with
-      | Some (Ser_req (gid, s)) ->
-          progressed := true;
-          mark_global_dead g gid reason ~aborting_site:(Some s);
-          enqueue_ack g gid s
-      | Some (Direct_req gid) ->
-          progressed := true;
-          mark_global_dead g gid reason ~aborting_site:(Some sid);
-          gtm1_ack g gid
-      | Some Fire | None -> ())
-  | Site_worker.Unblocked { sid; tid; action = _ } ->
-      if Hashtbl.mem g.pending_ser (sid, tid) then begin
-        progressed := true;
-        Hashtbl.remove g.pending_ser (sid, tid);
-        if g.sh'.retain_audit then Ser_schedule.record g.ser_log sid tid;
-        cert_feed g [ Incremental.Ser (tid, sid) ];
-        enqueue_ack g tid sid
-      end
-      else if Hashtbl.mem g.pending_direct (sid, tid) then begin
-        progressed := true;
-        Hashtbl.remove g.pending_direct (sid, tid);
-        gtm1_ack g tid
-      end
+  | Site_worker.Executed { req; sid = _; tid } ->
+      if answer g tid ~pc:req Coord.Done then progressed := true
+  | Site_worker.Waiting { req; sid = _; tid } ->
+      (* A kill may land while this reply is in flight: the core then
+         completes the step at once, which is progress; a live waiter is
+         not. *)
+      let dead = Coord.is_dead g.coord tid in
+      if answer g tid ~pc:req Coord.Blocked then
+        if dead then progressed := true else Hashtbl.replace g.since tid (now g)
+  | Site_worker.Refused { req; sid = _; tid; reason } ->
+      if answer g tid ~pc:req (Coord.Refused reason) then progressed := true
+  | Site_worker.Unblocked { sid = _; tid; action = _ } ->
+      if answer g tid Coord.Done then progressed := true
   | Site_worker.Crashed { sid; in_doubt } ->
       progressed := true;
       Atomic.incr g.sh'.a_crashes;
@@ -671,45 +520,7 @@ let handle_reply g progressed = function
       ignore
         (Flight.trigger g.sh'.flight ~ts_ms:(now g)
            ~reason:(Printf.sprintf "site-%d-crash" sid));
-      (* Prepared participants survived in doubt: resolve them with the
-         coordinator's decision record. *)
-      List.iter
-        (fun tid ->
-          let action =
-            if Hashtbl.find_opt g.decided tid = Some true then Op.Commit
-            else Op.Abort
-          in
-          send_exec g ~kind:Fire ~gid:tid ~sid ~action)
-        in_doubt;
-      (* Operations blocked inside the crashed site lost their completions:
-         no Unblocked will ever arrive for them. *)
-      let lost tbl =
-        Hashtbl.fold
-          (fun (s, gid) _since acc -> if s = sid then gid :: acc else acc)
-          tbl []
-      in
-      List.iter
-        (fun gid ->
-          Hashtbl.remove g.pending_ser (sid, gid);
-          mark_global_dead g gid "site-crash" ~aborting_site:None;
-          enqueue_ack g gid sid)
-        (lost g.pending_ser);
-      List.iter
-        (fun gid ->
-          Hashtbl.remove g.pending_direct (sid, gid);
-          mark_global_dead g gid "site-crash" ~aborting_site:None;
-          gtm1_ack g gid)
-        (lost g.pending_direct);
-      (* Any other global begun at the crashed site lost its (unprepared)
-         effects there: abort it everywhere for atomicity. *)
-      List.iter
-        (fun gid ->
-          if
-            (not (Gtm1.is_dead g.gtm1 gid))
-            && (not (List.mem gid in_doubt))
-            && List.mem sid (Gtm1.begun_sites g.gtm1 gid)
-          then mark_global_dead g gid "site-crash" ~aborting_site:None)
-        (Gtm1.active g.gtm1)
+      Coord.site_crash g.coord sid ~in_doubt
 
 (* -------------------------------------------------- stalls and deadlocks *)
 
@@ -723,35 +534,17 @@ let handle_reply g progressed = function
    which inherit their first attempt's birth, cannot starve), and a waiter
    past the hard deadline with nothing to wound is killed itself. One
    victim per tick: its death may unblock the rest of the clique, so
-   re-evaluate before killing again. *)
+   re-evaluate before killing again. A global whose commit is decided is
+   never a victim: it is past the point of cheap retry and about to finish
+   anyway. *)
 
 let birth_of g gid =
   match Hashtbl.find_opt g.births gid with Some b -> b | None -> gid
 
-(* Kill a global wherever it stands: roll it back at every begun site and,
-   if it is blocked inside a site (a pending completion that may never
-   arrive once the victim's own rollback releases nothing), fake-ack the
-   blocked step so GTM1 and the scheme drain. A victim whose step is
-   merely in flight needs no fake ack — the site's reply still arrives
-   and acks a dead transaction, which the reply path already handles. *)
-let kill_global g victim ~reason =
-  match Gtm1.current_step g.gtm1 victim with
-  | Some step when Gtm1.next g.gtm1 victim = Gtm1.In_flight -> (
-      let sid = step.Gtm1.site in
-      if Hashtbl.mem g.pending_ser (sid, victim) then begin
-        Hashtbl.remove g.pending_ser (sid, victim);
-        fire_abort g victim sid;
-        mark_global_dead g victim reason ~aborting_site:(Some sid);
-        enqueue_ack g victim sid
-      end
-      else if Hashtbl.mem g.pending_direct (sid, victim) then begin
-        Hashtbl.remove g.pending_direct (sid, victim);
-        fire_abort g victim sid;
-        mark_global_dead g victim reason ~aborting_site:(Some sid);
-        gtm1_ack g victim
-      end
-      else mark_global_dead g victim reason ~aborting_site:None)
-  | _ -> mark_global_dead g victim reason ~aborting_site:None
+let killable g gid =
+  Coord.is_known g.coord gid
+  && (not (Coord.is_dead g.coord gid))
+  && not (Coord.commit_decided g.coord gid)
 
 (* Safety valve: progress has stalled globally but no site-blocked waiter
    is past any window (e.g. everything waits inside GTM2). Prefer the
@@ -759,13 +552,12 @@ let kill_global g victim ~reason =
    its fake acks un-wedge the scheme. *)
 let stall_kill g =
   (* The WAIT set can hold a {e finished} transaction: scheme3 parks a
-     [Fin] until the fin's serialized-before set drains, and GTM1 forgot
-     the gid the moment its program ended. Unknown gids are not victims —
-     killing is for transactions that still hold something. *)
-  let live gid = Gtm1.is_known g.gtm1 gid && not (Gtm1.is_dead g.gtm1 gid) in
+     [Fin] until the fin's serialized-before set drains, and the core
+     forgot the gid the moment its program ended. Unknown gids are not
+     victims — killing is for transactions that still hold something. *)
   let candidates =
-    match List.filter live (Gtm_sched.wait_gids g.sh'.sched) with
-    | [] -> List.filter live (Gtm1.active g.gtm1)
+    match List.filter (killable g) (Gtm_sched.wait_gids g.sh'.sched) with
+    | [] -> List.filter (killable g) (Coord.active g.coord)
     | waiting -> waiting
   in
   let youngest =
@@ -784,130 +576,97 @@ let stall_kill g =
       Atomic.incr g.sh'.a_stall_kills;
       Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"txn.stall_kill"
         [ ("victim", string_of_int victim) ];
-      kill_global g victim ~reason:"stall-timeout";
-      true
+      Coord.kill g.coord victim "stall-timeout"
 
 let wounded_in_wait g gid ~since =
   match Hashtbl.find_opt g.wounded gid with
   | Some (s, births) when s = since -> births
   | _ -> []
 
+(* One stall-detector pass; returns whether it killed. *)
 let on_tick g =
-  let active = Gtm1.active g.gtm1 in
-  if active <> [] then begin
-    (* The waiter candidate list comes from the GTM's own pending
-       tables — a domain-private snapshot, no lock. Only when some waiter
-       actually aged into the wound window does the tick pay for the
-       resident sweep (per-active [begun_sites]) and, on the safety-valve
-       path, the engine-lock [wait_gids] probe inside {!stall_kill}. *)
+  let active = Coord.active g.coord in
+  if active = [] then false
+  else begin
+    (* The waiter candidate list comes from the core's blocked set — a
+       domain-private snapshot, no lock. Only when some waiter actually
+       aged into the wound window does the tick pay for the resident sweep
+       (per-active [begun_sites]) and, on the safety-valve path, the
+       engine-lock [wait_gids] probe inside {!stall_kill}. *)
     let waiters =
-      let of_tbl tbl acc =
-        Hashtbl.fold
-          (fun (sid, gid) since acc ->
-            if Gtm1.is_dead g.gtm1 gid then acc
-            else
+      List.filter_map
+        (fun (gid, sid) ->
+          if killable g gid then
+            let since = Hashtbl.find g.since gid in
+            Some
               { Wound.w_gid = gid; w_birth = birth_of g gid; w_site = sid;
                 w_since = since; w_wounded = wounded_in_wait g gid ~since }
-              :: acc)
-          tbl acc
-      in
-      of_tbl g.pending_ser (of_tbl g.pending_direct [])
+          else None)
+        (Coord.blocked g.coord)
     in
-    if Wound.quiet ~now:(now g) ~wound_after_ms:g.sh'.cfg_wound_ms ~waiters
-    then begin
-      (* No waiter past any window ([wound_after_ms <= stall deadline]):
-         {!Wound.decide} could only answer [No_kill]. Keep the global
-         no-progress valve. *)
-      if now g -. g.last_progress > g.sh'.cfg_stall_ms then
-        if stall_kill g then progress g
-    end
-    else
-    let residents =
-      List.filter_map
-        (fun gid ->
-          (* Never wound a transaction whose commit is already decided
-             (2PC verdict recorded): it is past the point of cheap retry
-             and about to finish anyway. *)
-          if Gtm1.is_dead g.gtm1 gid || Hashtbl.find_opt g.decided gid = Some true
-          then None
-          else
-            Some
-              { Wound.r_gid = gid; r_birth = birth_of g gid;
-                r_sites = Gtm1.begun_sites g.gtm1 gid })
-        active
+    let valve () =
+      (* Only a real kill resets the stall clock: a no-op pass (every
+         remaining global already dead and draining) must not mask a
+         wedged drain. *)
+      now g -. g.last_progress > g.sh'.cfg_stall_ms && stall_kill g
     in
-    match
-      Wound.decide ~now:(now g) ~wound_after_ms:g.sh'.cfg_wound_ms
-        ~deadline_ms:g.sh'.cfg_stall_ms ~waiters ~residents
-    with
-    | Wound.Wound { wounder; victim } ->
-        let since =
-          (List.find (fun w -> w.Wound.w_gid = wounder) waiters).Wound.w_since
+    let killed =
+      if Wound.quiet ~now:(now g) ~wound_after_ms:g.sh'.cfg_wound_ms ~waiters
+      then
+        (* No waiter past any window ([wound_after_ms <= stall deadline]):
+           {!Wound.decide} could only answer [No_kill]. Keep the global
+           no-progress valve. *)
+        valve ()
+      else
+        let residents =
+          List.filter_map
+            (fun gid ->
+              if killable g gid then
+                Some
+                  { Wound.r_gid = gid; r_birth = birth_of g gid;
+                    r_sites = Coord.begun_sites g.coord gid }
+              else None)
+            active
         in
-        Hashtbl.replace g.wounded wounder
-          (since, birth_of g victim :: wounded_in_wait g wounder ~since);
-        Atomic.incr g.sh'.a_wounds;
-        Atomic.incr g.sh'.a_force;
-        Metrics.inc g.sh'.m_force;
-        Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"txn.wound"
-          [
-            ("victim", string_of_int victim);
-            ("wounder", string_of_int wounder);
-          ];
-        kill_global g victim ~reason:"wound";
-        progress g
-    | Wound.Timeout victim ->
-        Atomic.incr g.sh'.a_stall_kills;
-        Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0
-          ~name:"txn.stall_kill"
-          [ ("victim", string_of_int victim) ];
-        kill_global g victim ~reason:"stall-deadline";
-        progress g
-    | Wound.No_kill ->
-        if now g -. g.last_progress > g.sh'.cfg_stall_ms then
-          (* Only a real kill resets the stall clock: a no-op pass (every
-             remaining global already dead and draining) must not mask a
-             wedged drain. *)
-          if stall_kill g then progress g
+        match
+          Wound.decide ~now:(now g) ~wound_after_ms:g.sh'.cfg_wound_ms
+            ~deadline_ms:g.sh'.cfg_stall_ms ~waiters ~residents
+        with
+        | Wound.Wound { wounder; victim } ->
+            let since = Hashtbl.find g.since wounder in
+            Hashtbl.replace g.wounded wounder
+              (since, birth_of g victim :: wounded_in_wait g wounder ~since);
+            Atomic.incr g.sh'.a_wounds;
+            Atomic.incr g.sh'.a_force;
+            Metrics.inc g.sh'.m_force;
+            Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"txn.wound"
+              [
+                ("victim", string_of_int victim);
+                ("wounder", string_of_int wounder);
+              ];
+            Coord.kill g.coord victim "wound"
+        | Wound.Timeout victim ->
+            Atomic.incr g.sh'.a_stall_kills;
+            Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0
+              ~name:"txn.stall_kill"
+              [ ("victim", string_of_int victim) ];
+            Coord.kill g.coord victim "stall-deadline"
+        | Wound.No_kill -> valve ()
+    in
+    if killed then progress g;
+    killed
   end
 
 (* ------------------------------------------------------------- the pump *)
 
-(* Run the scheduler and drive every transaction as far as it goes without
-   an acknowledgement — the asynchronous Figure-3 loop, batched: every
-   queue operation produced while handling a drained inbox batch funnels
-   through [pending_ops] and enters the engine in one lock acquisition
-   per round ({!Gtm_sched.run_ops}); the effects are executed here,
-   outside the lock. *)
-let pump g =
-  let quiescent = ref false in
-  while not !quiescent do
-    let progressed = ref false in
-    let ops = List.of_seq (Queue.to_seq g.pending_ops) in
-    Queue.clear g.pending_ops;
-    let effects =
-      if Sink.enabled g.sh'.obs.Obs.sink then begin
-        (* All sink writers (workers' instants, the engine's wait spans)
-           serialize on sink_mutex; lock order is sink_mutex > sched lock. *)
-        Mutex.lock g.sh'.sink_mutex;
-        let e =
-          try Gtm_sched.run_ops g.sh'.sched ops
-          with ex ->
-            Mutex.unlock g.sh'.sink_mutex;
-            raise ex
-        in
-        Mutex.unlock g.sh'.sink_mutex;
-        e
-      end
-      else Gtm_sched.run_ops g.sh'.sched ops
-    in
-    if effects <> [] then progressed := true;
-    List.iter (handle_effect g progressed) effects;
-    List.iter (fun gid -> drive_global g gid progressed) (Gtm1.active g.gtm1);
-    admit_parked g progressed;
-    if !progressed then progress g
-    else if Queue.is_empty g.pending_ops then quiescent := true
-  done
+(* Run the core to quiescence — the asynchronous Figure-3 loop, batched:
+   every queue operation produced while handling a drained inbox batch
+   enters the engine in one lock acquisition per round
+   ({!Gtm_sched.run_ops}) — then admit parked globals into freed slots and
+   go again. *)
+let rec pump g =
+  if Coord.pump g.coord then progress g;
+  if admit_parked g then pump g
 
 (* -------------------------------------------------------- the GTM domain *)
 
@@ -932,8 +691,7 @@ let handle_batch g msgs =
                the contention that is already killing transactions — a
                shed client backs off without costing any site a rollback. *)
             Queue.length g.parked >= g.sh'.cfg_shed_parked
-            || Hashtbl.length g.pending_ser + Hashtbl.length g.pending_direct
-               >= g.sh'.cfg_shed_blocked
+            || Coord.blocked_count g.coord >= g.sh'.cfg_shed_blocked
           then begin
             Atomic.incr g.sh'.a_sheds;
             bump_cause g.sh' "shed";
@@ -952,45 +710,45 @@ let handle_batch g msgs =
   if !progressed then progress g;
   pump g;
   (* The tick check runs after the pump so freshly made progress counts,
-     and at most once per batch however many ticks were queued. *)
-  if !ticks > 0 then begin
-    on_tick g;
-    (* A kill fake-acks the victim: run its queue operations now rather
-       than waiting for the next wakeup. *)
-    if not (Queue.is_empty g.pending_ops) then pump g
-  end
+     and at most once per batch however many ticks were queued. A kill
+     fake-acks the victim: run its queue operations now rather than
+     waiting for the next wakeup. *)
+  if !ticks > 0 && on_tick g then pump g
 
 let gtm_loop sh worker_of =
   let g =
     {
       sh' = sh;
       worker_of;
-      gtm1 = Gtm1.create ();
+      (* A core with no effects until [g] exists; replaced below. *)
+      coord =
+        Coord.create ~atomic:false ~protocol_of:(fun _ -> Types.Two_phase_locking)
+          ~gtm2:(fun _ -> []) ~perform:(fun _ _ -> ()) ();
       ser_log = Ser_schedule.create ();
       promises = Hashtbl.create 64;
       births = Hashtbl.create 64;
       admit_times = Hashtbl.create 64;
-      pending_ser = Hashtbl.create 16;
-      pending_direct = Hashtbl.create 16;
+      since = Hashtbl.create 16;
       wounded = Hashtbl.create 16;
-      inflight = Hashtbl.create 32;
       parked = Queue.create ();
-      fin_enqueued = Hashtbl.create 64;
-      abort_fired = Hashtbl.create 16;
-      death_reason = Hashtbl.create 16;
-      decided = Hashtbl.create 64;
       txn_spans = Hashtbl.create 64;
-      pending_ops = Queue.create ();
       outbox = Hashtbl.create 16;
       outbox_sites = [];
       globals_rev = [];
-      req_counter = 0;
       last_progress = Clock.now_ms sh.clock;
     }
   in
+  let protocol_of sid =
+    match List.assoc_opt sid sh.protocols with
+    | Some p -> p
+    | None -> invalid_arg (Printf.sprintf "svc: unknown site %d" sid)
+  in
+  g.coord <-
+    Coord.create ~atomic:sh.cfg_atomic ~protocol_of ~gtm2:(gtm2 sh)
+      ~perform:(perform g) ();
   let done_ () =
     Atomic.get sh.draining
-    && Gtm1.active g.gtm1 = []
+    && Coord.active g.coord = []
     && Queue.is_empty g.parked
     && Mailbox.length sh.inbox = 0
   in
@@ -1028,20 +786,9 @@ let start (cfg : config) =
   if obs.Obs.live then Obs.set_clock obs (fun () -> Clock.now_ms clock);
   let inbox = Mailbox.create ~capacity:cfg.capacity () in
   let sink_mutex = Mutex.create () in
-  let ser_points = Hashtbl.create 16 in
-  let needs_decl = Hashtbl.create 16 in
   let protocols =
     List.map
-      (fun dbms ->
-        let sid = Local_dbms.site_id dbms in
-        let point =
-          if cfg.atomic_commit then
-            Ser_fun.for_protocol_atomic (Local_dbms.protocol_kind dbms)
-          else Local_dbms.serialization_point dbms
-        in
-        Hashtbl.replace ser_points sid point;
-        Hashtbl.replace needs_decl sid (Local_dbms.needs_declarations dbms);
-        (sid, Local_dbms.protocol_kind dbms))
+      (fun dbms -> (Local_dbms.site_id dbms, Local_dbms.protocol_kind dbms))
       cfg.sites
   in
   (* The streaming certifier, fed from every producer: [Site] declarations
@@ -1102,8 +849,6 @@ let start (cfg : config) =
       clock;
       obs;
       sink_mutex;
-      ser_points;
-      needs_decl;
       protocols;
       accepting = Atomic.make true;
       draining = Atomic.make false;

@@ -2,9 +2,11 @@
     concurrent).
 
     One worker domain per local site runs the unchanged {!Mdbs_site.Local_dbms}
-    behind a mailbox; one GTM domain runs GTM1 admission plus the GTM2
-    scheduler ({!Gtm_sched} — the existing engine and scheme behind a
-    mutex); clients are arbitrary threads/domains that submit transactions
+    behind a mailbox; one GTM domain drives the coordinator core
+    ({!Mdbs_core.Coord}: GTM1 and every per-global rule, shared with the
+    simulator) over the GTM2 scheduler ({!Gtm_sched} — the existing engine
+    and scheme behind a mutex), and keeps only the transport and the victim
+    policy; clients are arbitrary threads/domains that submit transactions
     and await a {!Promise.t} of the final status. A bounded admission lane
     gives backpressure ({!submit_global} blocks when the GTM is saturated)
     and admission control ({!try_submit_global} refuses instead, and the
@@ -23,7 +25,8 @@
     with nothing to wound is killed itself (bounded wait — liveness
     without exact conflict attribution). A
     global-quiescence safety valve backs both rules for stalls with no
-    identifiable site block. One victim per tick. Every abort is
+    identifiable site block. One victim per tick; a global whose commit is
+    decided is never a victim. Every abort is
     classified into a cause bucket ([wound], [stall_kill],
     [scheme_reject], [shed], [crash], [other]) surfaced in {!stats} and
     as [svc_aborts_total{cause}] counters.

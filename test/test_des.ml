@@ -89,6 +89,40 @@ let atomic_mode_runs () =
     (r.Des.committed_global + r.Des.failed_global);
   check_bool "serializable" true r.Des.serializable
 
+(* Without 2PC a commit is one message per site, and an OCC site can still
+   refuse its Commit after another site committed. Such an attempt is dead:
+   the reported commit count must equal the attempts that committed at
+   every site they visited and aborted at none (E13's config). *)
+let committed_means_committed_everywhere kind () =
+  let config =
+    {
+      Des.default with
+      Des.n_global = 60;
+      seed = 23;
+      workload = { Workload.default with m = 4; d_av = 2; data_per_site = 32 };
+    }
+  in
+  let run = Des.run_full config kind in
+  let module Schedule = Mdbs_model.Schedule in
+  let module Txn = Mdbs_model.Txn in
+  let schedule sid =
+    Mdbs_site.Local_dbms.schedule
+      (List.find
+         (fun db -> Mdbs_site.Local_dbms.site_id db = sid)
+         run.Des.sites)
+  in
+  let everywhere txn =
+    let tid = txn.Txn.id in
+    List.for_all
+      (fun sid ->
+        Mdbs_util.Iset.mem tid (Schedule.committed (schedule sid))
+        && not (Mdbs_util.Iset.mem tid (Schedule.aborted (schedule sid))))
+      (Txn.sites txn)
+  in
+  check_int "committed = committed at every site"
+    (List.length (List.filter everywhere run.Des.attempts))
+    run.Des.result.Des.committed_global
+
 let scheme_cases f =
   List.map
     (fun kind -> Alcotest.test_case (Registry.name kind) `Quick (f kind))
@@ -105,4 +139,10 @@ let () =
           Alcotest.test_case "deadlock-timeout" `Quick cross_site_deadlocks_resolved;
           Alcotest.test_case "atomic-mode" `Quick atomic_mode_runs;
         ] );
+      ( "one-phase-commit",
+        List.map
+          (fun kind ->
+            Alcotest.test_case (Registry.name kind) `Quick
+              (committed_means_committed_everywhere kind))
+          Registry.extended );
     ]

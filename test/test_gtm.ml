@@ -326,6 +326,151 @@ let gtm_nocontrol_can_violate () =
     (fun txn -> check_bool "done" true (Gtm.status gtm txn.Txn.id <> Gtm.Active))
     txns
 
+(* ----------------------------------------------------------------- Coord *)
+
+module Coord = Mdbs_core.Coord
+module Engine = Mdbs_core.Engine
+
+(* A core over a real GTM2 engine whose effects are only recorded: the test
+   plays the sites and answers (or not) each Run itself. *)
+let recording_coord ?(atomic = false) protocol =
+  let effects = ref [] in
+  let engine = Engine.create (Registry.make Registry.S3) in
+  let coord =
+    Coord.create ~atomic
+      ~protocol_of:(fun _ -> protocol)
+      ~gtm2:(fun ops ->
+        Engine.enqueue_all engine ops;
+        Engine.run engine)
+      ~perform:(fun _ e -> effects := e :: !effects)
+      ()
+  in
+  let take () =
+    let es = List.rev !effects in
+    effects := [];
+    es
+  in
+  (coord, take)
+
+let two_site_txn gid =
+  Txn.global ~id:gid [ (0, [ Op.Write (x0, 1) ]); (1, [ Op.Write (x1, 1) ]) ]
+
+let runs es =
+  List.filter_map
+    (function
+      | Coord.Run { pc; site; action; _ } -> Some (pc, site, action) | _ -> None)
+    es
+
+let rollbacks es =
+  List.filter_map (function Coord.Rollback (g, s) -> Some (g, s) | _ -> None) es
+
+let finishes es =
+  List.filter_map
+    (function Coord.Finish { gid; outcome; _ } -> Some (gid, outcome) | _ -> None)
+    es
+
+(* Answer every Run with Done and pump, until [stop] holds on the effects
+   seen so far or nothing is left to answer; returns those effects. *)
+let play coord take gid ~stop =
+  let rec go seen =
+    if stop seen then seen
+    else
+      match runs seen with
+      | [] -> seen
+      | rs ->
+          List.iter (fun (pc, _, _) -> ignore (Coord.reply coord gid ~pc Coord.Done)) rs;
+          ignore (Coord.pump coord);
+          let fresh = take () in
+          if stop fresh then fresh else go fresh
+  in
+  ignore (Coord.pump coord);
+  go (take ())
+
+let first_begin_at site es =
+  match List.filter (fun (_, s, a) -> s = site && a = Op.Begin) (runs es) with
+  | (pc, _, _) :: _ -> pc
+  | [] -> Alcotest.fail "expected a Begin to go out"
+
+let coord_orphan_rollback () =
+  (* A kill lands while a Begin is out: the sweep cannot know that site, so
+     the Begin's answer rolls the global back there, once. *)
+  let coord, take = recording_coord Types.Two_phase_locking in
+  Coord.admit coord (two_site_txn 1);
+  ignore (Coord.pump coord);
+  let pc = first_begin_at 0 (take ()) in
+  check_bool "killed" true (Coord.kill coord 1 "test");
+  check_int "nothing begun yet: no rollback" 0 (List.length (rollbacks (take ())));
+  check_bool "answer taken" true (Coord.reply coord 1 ~pc Coord.Done <> None);
+  Alcotest.(check (list (pair int int))) "rolled back where it ran" [ (1, 0) ]
+    (rollbacks (take ()));
+  check_bool "duplicate answer is stale" true (Coord.reply coord 1 ~pc Coord.Done = None);
+  let rest = play coord take 1 ~stop:(fun es -> finishes es <> []) in
+  check_int "no second rollback" 0 (List.length (rollbacks rest));
+  match finishes rest with
+  | [ (1, Coord.Aborted "test") ] -> ()
+  | _ -> Alcotest.fail "expected the global to finish aborted"
+
+let coord_blocked_after_kill () =
+  (* A kill races the site's Waiting answer: nothing would ever complete
+     the wait, so the core rolls back and completes the step at once. *)
+  let coord, take = recording_coord Types.Two_phase_locking in
+  Coord.admit coord (two_site_txn 1);
+  ignore (Coord.pump coord);
+  let pc = first_begin_at 0 (take ()) in
+  ignore (Coord.kill coord 1 "test");
+  ignore (Coord.reply coord 1 ~pc Coord.Blocked);
+  Alcotest.(check (list (pair int int))) "rolled back" [ (1, 0) ] (rollbacks (take ()));
+  check_int "not left blocked" 0 (Coord.blocked_count coord);
+  check_bool "step completed" true (Coord.awaiting coord 1 = None)
+
+let coord_site_crash_lost_block () =
+  let coord, take = recording_coord Types.Two_phase_locking in
+  Coord.admit coord (two_site_txn 1);
+  ignore (Coord.pump coord);
+  let pc = first_begin_at 0 (take ()) in
+  ignore (Coord.reply coord 1 ~pc Coord.Blocked);
+  check_int "blocked" 1 (Coord.blocked_count coord);
+  Coord.site_crash coord 0 ~in_doubt:[];
+  check_bool "dead" true (Coord.is_dead coord 1);
+  check_int "the lost wait is completed" 0 (Coord.blocked_count coord);
+  check_int "the crash already rolled it back there" 0
+    (List.length (rollbacks (take ())))
+
+let coord_crash_elsewhere_frees_block () =
+  (* Blocked at site 1, begun at site 0, and site 0 crashes: the global
+     dies, and its wait at site 1 would never end (the rollback discards
+     the queued step), so the core completes it. *)
+  let coord, take = recording_coord Types.Two_phase_locking in
+  Coord.admit coord (two_site_txn 1);
+  let seen = play coord take 1 ~stop:(fun es -> List.exists (fun (_, s, _) -> s = 1) (runs es)) in
+  let pc = first_begin_at 1 seen in
+  ignore (Coord.reply coord 1 ~pc Coord.Blocked);
+  Coord.site_crash coord 0 ~in_doubt:[];
+  Alcotest.(check (list (pair int int))) "rolled back at the blocked site only"
+    [ (1, 1) ] (rollbacks (take ()));
+  check_int "wait completed" 0 (Coord.blocked_count coord);
+  let rest = play coord take 1 ~stop:(fun es -> finishes es <> []) in
+  match finishes rest with
+  | [ (1, Coord.Aborted "site-crash") ] -> ()
+  | _ -> Alcotest.fail "expected the global to finish aborted"
+
+let coord_decided_commit_is_final () =
+  (* Under 2PC a decided Commit cannot be killed; without 2PC it can. *)
+  let decided es =
+    List.exists
+      (function Coord.Log (Mdbs_core.Gtm_log.Decided (_, Mdbs_core.Gtm_log.Commit)) -> true | _ -> false)
+      es
+  in
+  List.iter
+    (fun atomic ->
+      let coord, take = recording_coord ~atomic Types.Two_phase_locking in
+      Coord.admit coord (two_site_txn 1);
+      ignore (play coord take 1 ~stop:decided);
+      check_bool "commit decided" true (Coord.commit_decided coord 1);
+      check_bool (Printf.sprintf "kill with 2pc=%b" atomic) (not atomic)
+        (Coord.kill coord 1 "test"))
+    [ true; false ]
+
 let () =
   Alcotest.run "mdbs-gtm"
     [
@@ -348,5 +493,14 @@ let () =
             gtm_otm_aborts_but_stays_serializable;
           Alcotest.test_case "conservative-2pl-sites" `Quick gtm_conservative_2pl_sites;
           Alcotest.test_case "nocontrol-completes" `Quick gtm_nocontrol_can_violate;
+        ] );
+      ( "coord",
+        [
+          Alcotest.test_case "orphan-rollback" `Quick coord_orphan_rollback;
+          Alcotest.test_case "blocked-after-kill" `Quick coord_blocked_after_kill;
+          Alcotest.test_case "site-crash-lost-block" `Quick coord_site_crash_lost_block;
+          Alcotest.test_case "crash-elsewhere-frees-block" `Quick
+            coord_crash_elsewhere_frees_block;
+          Alcotest.test_case "decided-commit-is-final" `Quick coord_decided_commit_is_final;
         ] );
     ]
