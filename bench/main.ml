@@ -16,7 +16,7 @@
 
 module Registry = Mdbs_core.Registry
 module Replay = Mdbs_sim.Replay
-module Driver = Mdbs_sim.Driver
+module Des = Mdbs_sim.Des
 module Workload = Mdbs_sim.Workload
 module Tsgd = Mdbs_core.Tsgd
 module Eliminate_cycles = Mdbs_core.Eliminate_cycles
@@ -88,13 +88,13 @@ let endtoend_bench kind =
     (Staged.stage (fun () ->
          let config =
            {
-             Driver.default with
+             Des.default with
              n_global = 30;
              seed = 19;
              workload = { Workload.default with m = 4; d_av = 2; data_per_site = 12 };
            }
          in
-         ignore (Driver.run_kind config kind)))
+         ignore (Des.run_kind config kind)))
 
 (* Service-runtime primitives: the two-lane mailbox is on the hot path of
    every GTM/worker exchange, the substream derivation on every client

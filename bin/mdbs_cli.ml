@@ -4,8 +4,7 @@
      schemes      list the GTM2 schemes
      experiments  print the reproduction tables (all or a subset)
      replay       drive a scheme with a synthetic trace, print metrics
-     simulate     run the end-to-end MDBS simulation under one scheme
-     des          timed discrete-event simulation
+     des          end-to-end MDBS simulation in simulated time
      chaos        fault-injecting runs, every one certified
      serve        open-loop load on the parallel service runtime
      loadgen      closed-loop load on it; both run the one load driver
@@ -14,7 +13,7 @@
 
 module Registry = Mdbs_core.Registry
 module Replay = Mdbs_sim.Replay
-module Driver = Mdbs_sim.Driver
+module Des = Mdbs_sim.Des
 module Workload = Mdbs_sim.Workload
 module Analysis = Mdbs_analysis.Analysis
 module Trace = Mdbs_analysis.Trace
@@ -34,7 +33,7 @@ let scheme_conv =
 
 module Obs = Mdbs_obs.Obs
 
-(* Shared by des/simulate/chaos: build the bundle before the run, export
+(* Shared by des/chaos: build the bundle before the run, export
    what the flags asked for afterwards. *)
 let obs_flags =
   let trace_out =
@@ -304,51 +303,31 @@ let replay_cmd =
       const run $ scheme $ sites $ txns $ d_av $ concurrency $ latency $ seed
       $ open_loop)
 
-(* --------------------------------------------------------------- simulate *)
-
-let simulate_cmd =
-  let doc = "Run the end-to-end MDBS simulation (heterogeneous sites, mixed load)" in
-  let scheme =
-    Arg.(value & opt scheme_conv Registry.S3 & info [ "scheme" ] ~docv:"SCHEME")
-  in
-  let sites = Arg.(value & opt int 4 & info [ "sites"; "m" ] ~docv:"M") in
-  let globals = Arg.(value & opt int 60 & info [ "globals" ] ~docv:"N") in
-  let d_av = Arg.(value & opt int 2 & info [ "dav" ] ~docv:"D") in
-  let data =
-    Arg.(value & opt int 12 & info [ "data" ] ~docv:"K" ~doc:"Items per site.")
-  in
-  let hotspot = Arg.(value & opt int 0 & info [ "hotspot" ] ~docv:"H") in
-  let seed = Arg.(value & opt int 19 & info [ "seed" ] ~docv:"SEED") in
-  let run kind m n_global d_av data_per_site hotspot seed obsf =
-    let config =
-      {
-        Driver.default with
-        n_global;
-        seed;
-        workload = { Workload.default with m; d_av; data_per_site; hotspot };
-      }
-    in
-    let obs = make_obs obsf in
-    let r = Driver.run_kind ~obs config kind in
-    Format.printf "%a@." Driver.pp_result r;
-    export_obs obsf obs;
-    if not r.Driver.serializable then
-      print_endline "WARNING: execution was NOT globally serializable"
-  in
-  Cmd.v (Cmd.info "simulate" ~doc)
-    Term.(
-      const run $ scheme $ sites $ globals $ d_av $ data $ hotspot $ seed
-      $ obs_flags)
-
 (* -------------------------------------------------------------------- des *)
 
 let des_cmd =
-  let doc = "Timed discrete-event simulation: throughput and response times" in
+  let doc =
+    "End-to-end MDBS simulation (heterogeneous sites, mixed load) in \
+     simulated time: throughput and response times"
+  in
   let scheme =
     Arg.(value & opt scheme_conv Registry.S3 & info [ "scheme" ] ~docv:"SCHEME")
   in
   let sites = Arg.(value & opt int 4 & info [ "sites"; "m" ] ~docv:"M") in
   let globals = Arg.(value & opt int 60 & info [ "globals" ] ~docv:"N") in
+  let d_av =
+    Arg.(value & opt int Workload.default.Workload.d_av & info [ "dav" ] ~docv:"D"
+           ~doc:"Sites per global transaction.")
+  in
+  let data =
+    Arg.(value & opt int Workload.default.Workload.data_per_site
+         & info [ "data" ] ~docv:"K" ~doc:"Items per site.")
+  in
+  let hotspot =
+    Arg.(value & opt int Workload.default.Workload.hotspot
+         & info [ "hotspot" ] ~docv:"H"
+             ~doc:"Draw accesses from the first $(docv) items only (0: all).")
+  in
   let latency = Arg.(value & opt float 2.0 & info [ "latency" ] ~docv:"MS") in
   let service = Arg.(value & opt float 1.0 & info [ "service" ] ~docv:"MS") in
   let seed = Arg.(value & opt int 23 & info [ "seed" ] ~docv:"SEED") in
@@ -359,8 +338,8 @@ let des_cmd =
                  forces durable sites.")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON.") in
-  let run kind m n_global latency_ms service_ms seed atomic_commit faults json
-      obsf backf =
+  let run kind m n_global d_av data_per_site hotspot latency_ms service_ms seed
+      atomic_commit faults json obsf backf =
     let backend, lsm_params = resolve_backend backf in
     let fault_plan =
       match faults with
@@ -376,28 +355,36 @@ let des_cmd =
     let obs = make_obs obsf in
     let config =
       {
-        Mdbs_sim.Des.default with
+        Des.default with
         n_global;
         latency_ms;
         service_ms;
         seed;
         atomic_commit;
         faults = fault_plan;
-        workload = { Workload.default with m; backend; lsm_params };
+        workload =
+          {
+            Workload.default with
+            m;
+            d_av;
+            data_per_site;
+            hotspot;
+            backend;
+            lsm_params;
+          };
         obs;
       }
     in
-    let r = Mdbs_sim.Des.run_kind config kind in
+    let r = Des.run_kind config kind in
     if json then
-      print_endline
-        (Mdbs_analysis.Json.to_string (Mdbs_sim.Des.result_to_json r))
-    else Format.printf "%a@." Mdbs_sim.Des.pp_result r;
+      print_endline (Mdbs_analysis.Json.to_string (Des.result_to_json r))
+    else Format.printf "%a@." Des.pp_result r;
     export_obs obsf obs
   in
   Cmd.v (Cmd.info "des" ~doc)
     Term.(
-      const run $ scheme $ sites $ globals $ latency $ service $ seed $ atomic
-      $ faults $ json $ obs_flags $ backend_flags)
+      const run $ scheme $ sites $ globals $ d_av $ data $ hotspot $ latency
+      $ service $ seed $ atomic $ faults $ json $ obs_flags $ backend_flags)
 
 (* ------------------------------------------------------------------ chaos *)
 
@@ -442,8 +429,7 @@ let chaos_cmd =
     let with_lsm base =
       {
         base with
-        Mdbs_sim.Des.workload =
-          { base.Mdbs_sim.Des.workload with Workload.lsm_params };
+        Des.workload = { base.Des.workload with Workload.lsm_params };
       }
     in
     if sweep then (
@@ -465,13 +451,13 @@ let chaos_cmd =
       let obs = make_obs obsf in
       let o =
         Chaos.run_one
-          ~base:(with_lsm { Chaos.base_config with Mdbs_sim.Des.obs })
+          ~base:(with_lsm { Chaos.base_config with Des.obs })
           ~profile:obs.Obs.profile ?data_dir ~mix ~seed kind
       in
       if json then
         print_endline (Mdbs_analysis.Json.to_string (Chaos.outcome_to_json o))
       else (
-        Format.printf "%a@." Mdbs_sim.Des.pp_result o.Chaos.result;
+        Format.printf "%a@." Des.pp_result o.Chaos.result;
         Printf.printf
           "checks: certified %b; atomic %b; wal-consistent %b\n"
           o.Chaos.checks.Chaos.certified o.Chaos.checks.Chaos.atomic
@@ -881,9 +867,11 @@ let analyze_cmd =
          operation pairs; the linter reports typed diagnostics (MA001..MA005).";
       `P
         "The trace comes from one of three sources: $(b,--trace) reads the \
-         textual format from a file, $(b,--simulate) captures one from the \
-         end-to-end simulation, $(b,--replay) captures the realized ser(S) \
-         from an engine-level replay.";
+         textual format from a file, $(b,--simulate) captures one from an \
+         end-to-end discrete-event simulation ($(b,mdbs des) at its \
+         defaults, with this command's $(b,--sites), $(b,--globals), \
+         $(b,--dav) and $(b,--seed)), $(b,--replay) captures the realized \
+         ser(S) from an engine-level replay.";
       `P "Exits 1 when the analysis reports any error, 2 on a parse error.";
     ]
   in
@@ -893,7 +881,8 @@ let analyze_cmd =
   in
   let simulate =
     Arg.(value & flag & info [ "simulate" ]
-           ~doc:"Capture and analyze a trace from the end-to-end simulation.")
+           ~doc:"Capture and analyze a trace from the end-to-end \
+                 discrete-event simulation.")
   in
   let replay =
     Arg.(value & flag & info [ "replay" ]
@@ -930,17 +919,15 @@ let analyze_cmd =
           | Ok trace -> trace
           | Error msg -> fail_usage msg)
       | None, true, false ->
-          Mdbs_model.Types.reset_tids ();
           let config =
             {
-              Driver.default with
+              Des.default with
               n_global;
               seed;
               workload = { Workload.default with m; d_av };
             }
           in
-          let _, trace, _ = Driver.run_traced config (Registry.make kind) in
-          trace
+          (Des.run_full config kind).Des.trace
       | None, false, true ->
           let config =
             { Replay.default with m; n_txns; d_av = max 1 d_av }
@@ -1021,7 +1008,7 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            schemes_cmd; experiments_cmd; replay_cmd; simulate_cmd; des_cmd;
+            schemes_cmd; experiments_cmd; replay_cmd; des_cmd;
             chaos_cmd; serve_cmd; loadgen_cmd; recover_cmd;
             analyze_cmd;
           ]))

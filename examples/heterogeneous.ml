@@ -9,21 +9,21 @@
      dune exec examples/heterogeneous.exe *)
 
 open Mdbs_model
-module Driver = Mdbs_sim.Driver
+module Des = Mdbs_sim.Des
 module Workload = Mdbs_sim.Workload
 module Registry = Mdbs_core.Registry
-module Gtm = Mdbs_core.Gtm
 module Local_dbms = Mdbs_site.Local_dbms
 
-(* A deterministic interleaving that breaks without control: two global
-   transactions writing the same item at two sites, with GTM2's restraint
-   removed, plus local traffic. We drive the simulation with a contended
-   configuration and report the first violating seed. *)
+(* A contended configuration on the discrete-event simulator: few hot
+   items, mostly writes, local traffic at every site. We hunt for the first
+   seed whose uncontrolled execution is not globally serializable. *)
 let contended seed =
   {
-    Driver.default with
+    Des.default with
     n_global = 40;
     seed;
+    global_rate = 0.01;
+    locals_per_site = 12;
     workload =
       {
         Workload.default with
@@ -37,33 +37,31 @@ let contended seed =
 
 let describe label r =
   Printf.printf "%-10s committed=%d restarts=%d ser-waits=%d CSR=%s ser(S)=%s\n"
-    label r.Driver.committed_global r.Driver.restarts r.Driver.ser_waits
-    (if r.Driver.serializable then "yes" else "NO")
-    (if r.Driver.ser_s_serializable then "yes" else "NO")
+    label r.Des.committed_global r.Des.restarts r.Des.ser_waits
+    (if r.Des.serializable then "yes" else "NO")
+    (if r.Des.ser_s_serializable then "yes" else "NO")
 
 let () =
-  (* Find a seed where the uncontrolled MDBS misbehaves. *)
+  (* Find a seed where the uncontrolled MDBS misbehaves: its committed local
+     schedules are not globally conflict-serializable. *)
   let rec hunt seed =
     if seed > 50 then None
     else
-      let r = Driver.run_kind (contended seed) Registry.Nocontrol in
-      if (not r.Driver.serializable) || not r.Driver.ser_s_serializable then
-        Some (seed, r)
-      else hunt (seed + 1)
+      let r = Des.run_kind (contended seed) Registry.Nocontrol in
+      if not r.Des.serializable then Some (seed, r) else hunt (seed + 1)
   in
   (match hunt 1 with
   | Some (seed, r) ->
       Printf.printf "seed %d: uncontrolled execution violates global serializability\n"
         seed;
       describe "nocontrol" r;
-      (* Re-run to extract the witness cycle from the audit. *)
-      let r3 = Driver.run_kind (contended seed) Registry.S3 in
+      let r3 = Des.run_kind (contended seed) Registry.S3 in
       describe "scheme3" r3;
       Printf.printf "same workload under Scheme 3: %s\n"
-        (if r3.Driver.serializable && r3.Driver.ser_s_serializable then
+        (if r3.Des.serializable && r3.Des.ser_s_serializable then
            "serializable (violation prevented)"
          else "STILL BROKEN (bug!)");
-      if not (r3.Driver.serializable && r3.Driver.ser_s_serializable) then exit 1
+      if not (r3.Des.serializable && r3.Des.ser_s_serializable) then exit 1
   | None ->
       print_endline
         "no violation found in 50 seeds — raise contention to demonstrate");

@@ -13,7 +13,6 @@ type t = {
   local_cont : (Types.tid, Types.sid * Op.action list) Hashtbl.t;
       (* blocked local transactions: site and actions still to run *)
   statuses : (Types.tid, status) Hashtbl.t;
-  mutable forced_aborts : int;
   gtm_log : Gtm_log.t; (* stable storage: survives a GTM crash *)
 }
 
@@ -58,7 +57,7 @@ let perform ~site_tbl ~ser_log ~statuses ~gtm_log ~reason_of coord effect =
         | Coord.Aborted r -> Aborted r)
 
 let make ~engine ~atomic_commit ~site_tbl ~ser_log ~local_cont ~statuses
-    ~forced_aborts ~gtm_log ~reason_of =
+    ~gtm_log ~reason_of =
   let protocol_of sid = Local_dbms.protocol_kind (find_site site_tbl sid) in
   let gtm2 ops =
     Engine.enqueue_all engine ops;
@@ -75,7 +74,6 @@ let make ~engine ~atomic_commit ~site_tbl ~ser_log ~local_cont ~statuses
     ser_log;
     local_cont;
     statuses;
-    forced_aborts;
     gtm_log;
   }
 
@@ -85,7 +83,7 @@ let create ?(obs = Mdbs_obs.Obs.disabled) ?(atomic_commit = false) ~scheme
   List.iter (fun s -> Hashtbl.replace site_tbl (Local_dbms.site_id s) s) sites;
   make ~engine:(Engine.create ~obs scheme) ~atomic_commit ~site_tbl
     ~ser_log:(Ser_schedule.create ()) ~local_cont:(Hashtbl.create 16)
-    ~statuses:(Hashtbl.create 64) ~forced_aborts:0 ~gtm_log:(Gtm_log.create ())
+    ~statuses:(Hashtbl.create 64) ~gtm_log:(Gtm_log.create ())
     ~reason_of:(fun _ -> None)
 
 let engine t = t.engine
@@ -103,8 +101,6 @@ let ser_schedule t = t.ser_log
 let schedules t = List.map Local_dbms.schedule (sites t)
 
 let audit t = Serializability.check (schedules t)
-
-let forced_aborts t = t.forced_aborts
 
 let status t tid =
   match Hashtbl.find_opt t.statuses tid with Some s -> s | None -> Active
@@ -174,7 +170,6 @@ let force_abort_one t =
   match List.rev (Coord.blocked t.coord) with
   | [] -> false
   | (victim, _) :: _ ->
-      t.forced_aborts <- t.forced_aborts + 1;
       ignore (Coord.kill t.coord victim "global-deadlock");
       true
 
@@ -213,8 +208,7 @@ let recover ~old ~scheme =
     make
       ~engine:(Engine.create ~obs:(Engine.obs old.engine) scheme)
       ~atomic_commit:old.atomic_commit ~site_tbl:old.site_tbl ~ser_log:old.ser_log
-      ~local_cont:old.local_cont ~statuses:old.statuses
-      ~forced_aborts:old.forced_aborts ~gtm_log:old.gtm_log
+      ~local_cont:old.local_cont ~statuses:old.statuses ~gtm_log:old.gtm_log
       ~reason_of:(Coord.death_reason old.coord)
   in
   Coord.recover t.coord t.gtm_log;

@@ -4,8 +4,8 @@
     This is the synchronous front door of the library: admit global
     transactions, submit local transactions directly to their sites (they
     bypass the GTM, as the paper's pre-existing local applications do), and
-    {!pump} until quiescence. Examples, tests and the round-counting
-    {!Mdbs_sim.Driver} use this module directly.
+    {!pump} until quiescence. Examples and tests use this module
+    directly.
 
     It drives the coordinator core ({!Coord}), which owns every per-global
     rule, with no transport at all: each step runs at its site at once and
@@ -71,9 +71,6 @@ val schedules : t -> Schedule.t list
 
 val audit : t -> Serializability.verdict
 (** Global conflict-serializability of everything committed so far. *)
-
-val forced_aborts : t -> int
-(** Cross-site deadlock victims killed by the glue's timeout rule. *)
 
 val gtm_log : t -> Gtm_log.t
 (** The GTM's durable log: admissions, dispatch/ack progress, 2PC

@@ -17,21 +17,29 @@ type checks = {
 
 let ok c = c.certified && c.atomic && c.wal_consistent
 
+(* The per-site commit walk: an attempt committed at some site but rolled
+   back at another, or missing a commit at one of its sites. *)
+let half_committed (run : Des.run) txn =
+  let tid = txn.Txn.id in
+  let sites_where pick =
+    List.filter_map
+      (fun db ->
+        if Iset.mem tid (pick (Local_dbms.schedule db)) then
+          Some (Local_dbms.site_id db)
+        else None)
+      run.Des.sites
+  in
+  match sites_where Schedule.committed with
+  | [] -> false
+  | committed ->
+      sites_where Schedule.aborted <> []
+      || not (List.for_all (fun sid -> List.mem sid committed) (Txn.sites txn))
+
 let check_run ?(profile = Profile.null) (run : Des.run) =
   let certified =
     Profile.time profile "chaos.certify" (fun () ->
         Mdbs_analysis.Certifier.is_certified
           (Mdbs_analysis.Certifier.certify run.Des.trace))
-  in
-  let schedules =
-    List.map
-      (fun db -> (Local_dbms.site_id db, Local_dbms.schedule db))
-      run.Des.sites
-  in
-  let sites_where pick tid =
-    List.filter_map
-      (fun (sid, s) -> if Iset.mem tid (pick s) then Some sid else None)
-      schedules
   in
   (* A committed global transaction must be committed at every one of its
      sites and aborted at none; half commits are atomicity violations. So
@@ -40,15 +48,11 @@ let check_run ?(profile = Profile.null) (run : Des.run) =
   let atomic =
     List.for_all
       (fun txn ->
-        let tid = txn.Txn.id in
         (not
-           (List.exists (fun db -> Local_dbms.is_active db tid) run.Des.sites))
-        &&
-        match sites_where Schedule.committed tid with
-        | [] -> true
-        | committed ->
-            sites_where Schedule.aborted tid = []
-            && List.for_all (fun sid -> List.mem sid committed) (Txn.sites txn))
+           (List.exists
+              (fun db -> Local_dbms.is_active db txn.Txn.id)
+              run.Des.sites))
+        && not (half_committed run txn))
       run.Des.attempts
   in
   (* Final storage must equal the WAL-predicted state: what a recovery at

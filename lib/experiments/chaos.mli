@@ -28,6 +28,11 @@ type checks = {
 
 val ok : checks -> bool
 
+val half_committed : Mdbs_sim.Des.run -> Mdbs_model.Txn.t -> bool
+(** The attempt committed at some site and yet was rolled back at another
+    or never committed at one of its sites: the atomicity anomaly two-phase
+    commit closes. [atomic] below fails on it; E12 counts it. *)
+
 val check_run : ?profile:Mdbs_obs.Profile.t -> Mdbs_sim.Des.run -> checks
 (** The three obligations, evaluated on a finished simulation. [~profile]
     self-times the certifier ([chaos.certify]) and the WAL audit

@@ -1,4 +1,6 @@
-(** Experiments E9-E11: ablations beyond the paper's four schemes.
+(** Experiments E9-E12: ablations beyond the paper's four schemes. E9 and
+    E10 replay traces; E11 and E12 run on the discrete-event simulator
+    ({!Mdbs_sim.Des}) at its default arrival rate.
 
     - E9: conservative delay (Schemes 0/3) vs optimistic abort (the
       non-conservative ticket method of [GRS91], §3's alternative): waits

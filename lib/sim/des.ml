@@ -61,6 +61,7 @@ type result = {
   aborted_local : int;
   forced_aborts : int;
   ser_waits : int;
+  scheme_steps : int;
   makespan_ms : float;
   throughput_per_s : float;
   mean_response_ms : float;
@@ -135,6 +136,7 @@ type sim = {
   mutable aborted_local : int;
   mutable forced_aborts : int;
   mutable ser_waits : int; (* accumulated across GTM incarnations *)
+  mutable scheme_steps : int; (* likewise *)
   mutable responses : float list;
   mutable live_globals : int; (* logical transactions not yet resolved *)
   mutable live_locals : int;
@@ -614,7 +616,7 @@ let deadlock_scan sim =
       (* The site gives up the blocked operation: the GTM hears a refusal. *)
       ignore (Local_dbms.submit (site sim sid) gid Op.Abort);
       resolve_prepared sim sid gid;
-      accept sim gid pc (Coord.Refused "global-deadlock");
+      accept ~outcome:"global-deadlock" sim gid pc (Coord.Refused "global-deadlock");
       drain_site sim sid
 
 (* --- fault application ------------------------------------------------- *)
@@ -672,6 +674,7 @@ let apply_site_crash sim sid =
 let apply_gtm_crash sim =
   sim.gtm_recoveries <- sim.gtm_recoveries + 1;
   sim.ser_waits <- sim.ser_waits + Engine.ser_wait_insertions sim.engine;
+  sim.scheme_steps <- sim.scheme_steps + (Engine.scheme sim.engine).Scheme.steps ();
   (* Close the dying incarnation's open wait spans before the engine is
      replaced; they are the deepest frames on their transactions' tracks. *)
   Engine.close_open_spans sim.engine ~reason:"gtm-crash";
@@ -781,6 +784,7 @@ let result_fields r =
     ("aborted_local", Json.Int r.aborted_local);
     ("forced_aborts", Json.Int r.forced_aborts);
     ("ser_waits", Json.Int r.ser_waits);
+    ("scheme_steps", Json.Int r.scheme_steps);
     ("makespan_ms", Json.Float r.makespan_ms);
     ("throughput_per_s", Json.Float r.throughput_per_s);
     ("mean_response_ms", Json.Float r.mean_response_ms);
@@ -860,6 +864,7 @@ let run_scheme config make_scheme =
       aborted_local = 0;
       forced_aborts = 0;
       ser_waits = 0;
+      scheme_steps = 0;
       responses = [];
       live_globals = config.n_global;
       live_locals = config.locals_per_site * workload.Workload.m;
@@ -962,6 +967,8 @@ let run_scheme config make_scheme =
       aborted_local = sim.aborted_local;
       forced_aborts = sim.forced_aborts;
       ser_waits = sim.ser_waits + Engine.ser_wait_insertions sim.engine;
+      scheme_steps =
+        sim.scheme_steps + (Engine.scheme sim.engine).Scheme.steps ();
       makespan_ms = sim.clock;
       throughput_per_s =
         (if sim.last_commit > 0.0 then
@@ -1001,10 +1008,11 @@ let pp_result ppf r =
   Format.fprintf ppf
     "@[<v>%s: %d committed (%d failed, %d restarts), throughput %.1f/s, \
      response mean %.1f ms / p95 %.1f ms; locals %d/%d; forced %d; waits %d; \
-     CSR %b; ser(S) %b; races %d@]"
+     steps %d; CSR %b; ser(S) %b; races %d@]"
     r.scheme_name r.committed_global r.failed_global r.restarts r.throughput_per_s
     r.mean_response_ms r.p95_response_ms r.committed_local r.aborted_local
-    r.forced_aborts r.ser_waits r.serializable r.ser_s_serializable r.races;
+    r.forced_aborts r.ser_waits r.scheme_steps r.serializable r.ser_s_serializable
+    r.races;
   if
     r.site_crashes + r.gtm_recoveries + r.msg_drops + r.msg_dups + r.retries
     + r.in_doubt_resolved

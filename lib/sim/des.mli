@@ -1,13 +1,16 @@
-(** Timed discrete-event simulation of the full MDBS (experiment E13).
+(** Timed discrete-event simulation of the full MDBS: the one end-to-end
+    simulator (experiments E7, E11-E15, [mdbs des], [mdbs chaos] and
+    [mdbs analyze --simulate]).
 
-    Where {!Driver} measures logical quantities (waits, restarts, audits)
-    with instantaneous execution, this simulator adds {e time}: exponential
-    operation service times at the sites, a symmetric GTM-site network
-    latency, Poisson arrivals of global and local transactions, and a
-    deadlock-timeout scan. It reports throughput and response times — the
-    performance dimension the paper discusses qualitatively in §3
-    ("delaying an operation of ser(S) may correspond to delaying the
-    execution of an entire global subtransaction").
+    It runs the whole stack in simulated {e time}: exponential operation
+    service times at the sites, a symmetric GTM-site network latency,
+    Poisson arrivals of global and local transactions, restarts with a
+    budget, and a deadlock-timeout scan. Besides the logical quantities
+    (waits, restarts, scheme steps, the two audits, the captured trace) it
+    reports throughput and response times — the performance dimension the
+    paper discusses qualitatively in §3 ("delaying an operation of ser(S)
+    may correspond to delaying the execution of an entire global
+    subtransaction").
 
     The machinery reuses the real components: the coordinator core
     ({!Mdbs_core.Coord}: GTM1 and every per-global rule, shared with the
@@ -76,6 +79,9 @@ type result = {
   aborted_local : int;
   forced_aborts : int;
   ser_waits : int;
+  scheme_steps : int;
+      (** Abstract steps the GTM2 scheme spent ([cond]/[act]), summed
+          across GTM incarnations like [ser_waits]. *)
   makespan_ms : float;  (** Time of the last event. *)
   throughput_per_s : float;  (** Committed global transactions per second. *)
   mean_response_ms : float;

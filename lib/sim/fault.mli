@@ -2,13 +2,11 @@
 
     The paper closes with "further work still remains on making the
     developed schemes fault-tolerant"; a fault plan describes {e which}
-    faults a run must survive. Plans are consumed by {!Des} (timed mode:
-    event times are simulation milliseconds) and by {!Driver} (logical
-    mode: event times are wave indices). Two ingredient kinds:
+    faults a run must survive. Plans are consumed by {!Des}; event times
+    are simulation milliseconds. Two ingredient kinds:
 
     - {e timed faults}: site crash/restart, GTM crash/restart, and
-      stuck-site slowdowns, each pinned to a point on the run's time (or
-      round) axis;
+      stuck-site slowdowns, each pinned to a point on the run's time axis;
     - {e link faults}: per-message drop / duplicate / delay probabilities
       on the GTM-site links, drawn from a dedicated seeded stream so the
       fault pattern is a pure function of the plan.
@@ -40,7 +38,7 @@ type link = {
 val no_link : link
 
 type t = {
-  events : (float * fault) list;  (** Sorted by time (or round). *)
+  events : (float * fault) list;  (** Sorted by time (ms). *)
   link : link;
   link_seed : int;  (** Seed of the link-fault coin-flip stream. *)
 }

@@ -91,5 +91,3 @@ let global_txn rng config =
 
 let local_txn rng config sid =
   Txn.local ~id:(Types.fresh_tid ()) ~site:sid (data_actions rng config config.local_ops)
-
-let global_txns rng config count = List.init count (fun _ -> global_txn rng config)

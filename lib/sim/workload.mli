@@ -53,5 +53,3 @@ val global_txn : Mdbs_util.Rng.t -> config -> Txn.t
 
 val local_txn : Mdbs_util.Rng.t -> config -> Types.sid -> Txn.t
 (** A fresh local transaction at the given site. *)
-
-val global_txns : Mdbs_util.Rng.t -> config -> int -> Txn.t list

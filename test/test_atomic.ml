@@ -15,8 +15,6 @@ module Registry = Mdbs_core.Registry
 module Local_dbms = Mdbs_site.Local_dbms
 module Occ = Mdbs_lcc.Occ
 module Cc = Mdbs_lcc.Cc_types
-module Driver = Mdbs_sim.Driver
-module Workload = Mdbs_sim.Workload
 module Iset = Mdbs_util.Iset
 
 let check_bool = Alcotest.(check bool)

@@ -10,7 +10,6 @@ module Gtm_log = Mdbs_core.Gtm_log
 module Registry = Mdbs_core.Registry
 module Local_dbms = Mdbs_site.Local_dbms
 module Des = Mdbs_sim.Des
-module Driver = Mdbs_sim.Driver
 module Fault = Mdbs_sim.Fault
 module Workload = Mdbs_sim.Workload
 module Chaos = Mdbs_experiments.Chaos
@@ -216,37 +215,46 @@ let sweep_zero_violations () =
   check_bool "in-doubt resolutions happened" true
     (total (fun r -> r.Des.in_doubt_resolved) > 0)
 
-(* ---------------------------------------------------- driver logical mode *)
+(* ------------------------------------------- one-phase crash plan *)
 
+(* A site crash and a GTM crash inside a one-phase-commit run (times in
+   ms): both are applied, and what committed stays serializable and
+   certified. *)
 let driver_round_faults () =
   let config =
     {
-      Driver.default with
-      Driver.n_global = 24;
+      Des.default with
+      Des.n_global = 24;
       workload = { Workload.default with Workload.m = 3 };
       faults =
         {
           Fault.none with
-          Fault.events = [ (0.5, Fault.Site_crash 0); (1.5, Fault.Gtm_crash) ];
+          Fault.events = [ (50.0, Fault.Site_crash 0); (150.0, Fault.Gtm_crash) ];
         };
     }
   in
-  let r = Driver.run_kind config Registry.S3 in
-  check_int "site crash applied" 1 r.Driver.site_crashes;
-  check_int "gtm recovery applied" 1 r.Driver.gtm_recoveries;
-  check_bool "still serializable" true r.Driver.serializable;
-  check_bool "still certified" true r.Driver.certified
+  let run = Des.run_full config Registry.S3 in
+  let r = run.Des.result in
+  check_int "site crash applied" 1 r.Des.site_crashes;
+  check_int "gtm recovery applied" 1 r.Des.gtm_recoveries;
+  check_bool "still serializable" true r.Des.serializable;
+  check_bool "still certified" true
+    (Mdbs_analysis.Analysis.certified
+       (Mdbs_analysis.Analysis.analyze run.Des.trace))
 
+(* A restarted GTM needs a fresh scheme instance: [Des.run], handed a
+   single scheme value, refuses a plan with a GTM crash. *)
 let driver_gtm_crash_needs_remake () =
   let config =
     {
-      Driver.default with
-      Driver.faults = { Fault.none with Fault.events = [ (0.5, Fault.Gtm_crash) ] };
+      Des.default with
+      Des.faults = { Fault.none with Fault.events = [ (0.5, Fault.Gtm_crash) ] };
     }
   in
   Alcotest.check_raises "remake required"
-    (Invalid_argument "Driver: a plan with GTM crashes needs ~remake (a scheme factory)")
-    (fun () -> ignore (Driver.run config (Registry.make Registry.S3)))
+    (Invalid_argument
+       "Des.run: a plan with GTM crashes needs a scheme factory (use run_full)")
+    (fun () -> ignore (Des.run config (Registry.make Registry.S3)))
 
 let () =
   Alcotest.run "mdbs-chaos"

@@ -234,6 +234,45 @@ let span_props_chaos () =
         kind)
     [ (Registry.S1, 101); (Registry.S2, 108); (Registry.S3, 115) ]
 
+(* The deadlock scan refuses the step it kills: that step's op span must
+   end with the refusal, not "acked". Same run as the golden trace. *)
+let deadlock_kill_refuses_op () =
+  let obs = Obs.create ~metrics:false () in
+  let config =
+    {
+      Des.default with
+      n_global = 4;
+      locals_per_site = 1;
+      seed = 5;
+      atomic_commit = true;
+      obs;
+      workload = { Workload.default with Workload.m = 2; data_per_site = 8 };
+    }
+  in
+  ignore (Des.run_full config Registry.S3);
+  let kills =
+    List.filter_map
+      (function
+        | Sink.Inst i when i.Sink.iname = "deadlock.kill" -> Some (i.Sink.itrack, i.Sink.its)
+        | Sink.Inst _ | Sink.Begin _ | Sink.End _ -> None)
+      (Sink.events obs.Obs.sink)
+  in
+  check_bool "the scan killed a step" true (kills <> []);
+  let killed_ops =
+    List.filter
+      (fun (sp : Sink.span) ->
+        sp.Sink.name = "op" && List.mem (sp.Sink.track, sp.Sink.finish) kills)
+      (Sink.spans obs.Obs.sink)
+  in
+  check_int "one op span per kill" (List.length kills) (List.length killed_ops);
+  List.iter
+    (fun (sp : Sink.span) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "op span on track %d" sp.Sink.track)
+        (Some "global-deadlock")
+        (List.assoc_opt "outcome" sp.Sink.attrs))
+    killed_ops
+
 let disabled_run_traces_nothing () =
   let run = Des.run_full base_config Registry.S3 in
   check_bool "disabled bundle" false run.Des.obs.Obs.live;
@@ -262,6 +301,8 @@ let () =
         [
           Alcotest.test_case "clean runs" `Quick span_props_clean;
           Alcotest.test_case "chaotic runs" `Quick span_props_chaos;
+          Alcotest.test_case "deadlock kill refuses its op" `Quick
+            deadlock_kill_refuses_op;
           Alcotest.test_case "disabled traces nothing" `Quick
             disabled_run_traces_nothing;
         ] );

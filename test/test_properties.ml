@@ -22,7 +22,7 @@ module Scheme2 = Mdbs_core.Scheme2
 module Queue_op = Mdbs_core.Queue_op
 module Tsgd = Mdbs_core.Tsgd
 module Replay = Mdbs_sim.Replay
-module Driver = Mdbs_sim.Driver
+module Des = Mdbs_sim.Des
 module Workload = Mdbs_sim.Workload
 module Ser_schedule = Mdbs_model.Ser_schedule
 module Rng = Mdbs_util.Rng
@@ -169,6 +169,8 @@ let scheme2_tsgd_invariant =
 
 (* ------------------------------------------------ end-to-end (Thm 2) --- *)
 
+(* Arrival rates from 0.005 to 0.1 globals/ms cover both the light regime
+   and the one where restarts and deadlock-timeout victims pile up. *)
 let driver_config_gen =
   QCheck.Gen.(
     let* seed = int_range 1 10_000 in
@@ -176,13 +178,14 @@ let driver_config_gen =
     let* d_av = int_range 1 (min m 3) in
     let* hotspot = int_range 0 3 in
     let* write_pct = int_range 2 9 in
+    let* rate_permille = int_range 5 100 in
     return
       {
-        Driver.default with
-        Driver.seed;
+        Des.default with
+        Des.seed;
         n_global = 20;
-        locals_per_wave = 2;
-        wave = 6;
+        global_rate = float_of_int rate_permille /. 1000.;
+        locals_per_site = 8;
         workload =
           {
             Workload.default with
@@ -197,9 +200,10 @@ let driver_config_gen =
 let driver_config_arb =
   QCheck.make
     ~print:(fun c ->
-      Printf.sprintf "seed=%d m=%d d_av=%d hotspot=%d w=%.1f" c.Driver.seed
-        c.Driver.workload.Workload.m c.Driver.workload.Workload.d_av
-        c.Driver.workload.Workload.hotspot c.Driver.workload.Workload.write_ratio)
+      Printf.sprintf "seed=%d m=%d d_av=%d hotspot=%d w=%.1f rate=%.3f/ms"
+        c.Des.seed c.Des.workload.Workload.m c.Des.workload.Workload.d_av
+        c.Des.workload.Workload.hotspot c.Des.workload.Workload.write_ratio
+        c.Des.global_rate)
     driver_config_gen
 
 let end_to_end_serializable kind =
@@ -209,8 +213,8 @@ let end_to_end_serializable kind =
          (Registry.name kind))
     ~count:25 driver_config_arb
     (fun config ->
-      let r = Driver.run_kind config kind in
-      r.Driver.serializable && r.Driver.ser_s_serializable)
+      let r = Des.run_kind config kind in
+      r.Des.serializable && r.Des.ser_s_serializable)
 
 (* -------------------------------------------------- Scheme 3, permits-all *)
 

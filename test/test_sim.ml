@@ -1,10 +1,10 @@
-(* End-to-end tests of the replay harness and the discrete simulation
-   driver: every paper scheme must drive random workloads to completion with
-   a globally serializable outcome. *)
+(* End-to-end tests of the replay harness and the discrete-event simulator:
+   every paper scheme must drive random workloads to completion with a
+   globally serializable outcome. *)
 
 module Registry = Mdbs_core.Registry
 module Replay = Mdbs_sim.Replay
-module Driver = Mdbs_sim.Driver
+module Des = Mdbs_sim.Des
 module Workload = Mdbs_sim.Workload
 
 let check = Alcotest.(check bool)
@@ -27,16 +27,16 @@ let replay_zero_latency kind () =
 let driver_serializable kind () =
   let config =
     {
-      Driver.default with
+      Des.default with
       n_global = 24;
       seed = 5;
       workload = { Workload.default with m = 4; d_av = 2; data_per_site = 8 };
     }
   in
-  let result = Driver.run_kind config kind in
-  check "globally serializable" true result.Driver.serializable;
-  check "ser(S) serializable" true result.Driver.ser_s_serializable;
-  check "some commits" true (result.Driver.committed_global > 0)
+  let result = Des.run_kind config kind in
+  check "globally serializable" true result.Des.serializable;
+  check "ser(S) serializable" true result.Des.ser_s_serializable;
+  check "some commits" true (result.Des.committed_global > 0)
 
 let scheme_cases f =
   List.map
@@ -46,17 +46,17 @@ let scheme_cases f =
 let driver_high_contention kind () =
   let config =
     {
-      Driver.default with
+      Des.default with
       n_global = 40;
       seed = 23;
-      locals_per_wave = 3;
+      locals_per_site = 30;
       workload =
         { Workload.default with m = 3; d_av = 2; data_per_site = 4; hotspot = 2 };
     }
   in
-  let result = Driver.run_kind config kind in
-  check "globally serializable under contention" true result.Driver.serializable;
-  check "ser(S) serializable under contention" true result.Driver.ser_s_serializable
+  let result = Des.run_kind config kind in
+  check "globally serializable under contention" true result.Des.serializable;
+  check "ser(S) serializable under contention" true result.Des.ser_s_serializable
 
 let () =
   Alcotest.run "mdbs-sim"
