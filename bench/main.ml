@@ -119,14 +119,14 @@ let substream_bench =
             ignore (Rng.int64 (Rng.substream parent i))
           done))
 
-(* Wound-wait tick cost: [quiet] is the lock-free pre-check every ticker
-   tick pays, [decide] the full two-rule scan paid only when a wound
+(* Wound-wait tick cost inside [Coord.tick]: [quiet] is the pre-check
+   every tick pays, [decide] the full two-rule scan paid only when a wound
    window has elapsed. Population sized like a saturated GTM (hundreds of
    blocked entries). *)
 let wound_waiters n =
   List.init n (fun i ->
       {
-        Mdbs_svc.Wound.w_gid = i + 1;
+        Mdbs_core.Wound.w_gid = i + 1;
         w_birth = i + 1;
         w_site = i mod 8;
         w_since = float_of_int (i mod 50);
@@ -136,7 +136,7 @@ let wound_waiters n =
 let wound_residents n =
   List.init n (fun i ->
       {
-        Mdbs_svc.Wound.r_gid = i + 1;
+        Mdbs_core.Wound.r_gid = i + 1;
         r_birth = i + 1;
         r_sites = [ i mod 8; (i + 1) mod 8 ];
       })
@@ -144,20 +144,20 @@ let wound_residents n =
 let wound_quiet_bench n =
   let waiters = wound_waiters n in
   Test.make
-    ~name:(Printf.sprintf "svc wound quiet pre-check (%d waiters)" n)
+    ~name:(Printf.sprintf "core wound quiet pre-check (%d waiters)" n)
     (Staged.stage (fun () ->
          (* Windows all open: the common no-kill tick. *)
          assert
-           (Mdbs_svc.Wound.quiet ~now:49.5 ~wound_after_ms:100. ~waiters)))
+           (Mdbs_core.Wound.quiet ~now:49.5 ~wound_after_ms:100. ~waiters)))
 
 let wound_decide_bench n =
   let waiters = wound_waiters n in
   let residents = wound_residents n in
   Test.make
-    ~name:(Printf.sprintf "svc wound decide (%d waiters)" n)
+    ~name:(Printf.sprintf "core wound decide (%d waiters)" n)
     (Staged.stage (fun () ->
          ignore
-           (Mdbs_svc.Wound.decide ~now:200. ~wound_after_ms:100.
+           (Mdbs_core.Wound.decide ~now:200. ~wound_after_ms:100.
               ~deadline_ms:400. ~waiters ~residents)))
 
 let mailbox_drain_bench =
@@ -263,10 +263,10 @@ let benchmarks () =
           (fun kind -> replay_bench kind ~n_txns:96 ~d_av:3 ~concurrency:16)
           Registry.all;
         List.map wait_bench Registry.all;
-        [ ec_bench 16; ec_bench 32; exact_bench 8; exact_bench 10 ];
+        [ ec_bench 16; ec_bench 32; exact_bench 8; exact_bench 10;
+          wound_quiet_bench 256; wound_decide_bench 256 ];
         List.map endtoend_bench Registry.all;
         [ mailbox_bench; mailbox_drain_bench; substream_bench;
-          wound_quiet_bench 256; wound_decide_bench 256;
           gtm_sched_per_op_bench; gtm_sched_batched_bench;
           runtime_loadgen_bench;
           incremental_feed_bench ~retain_order:true 256;

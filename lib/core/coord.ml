@@ -17,14 +17,23 @@ type effect_ =
 
 type reply = Done | Blocked | Refused of string
 
+type victim = { victim : Types.gid; reason : string; wounder : Types.gid option }
+
+let default_tick_ms = 5.
+let default_wound_ms = 20.
+let default_deadline_ms = 250.
+
 (* What the core adds to GTM1's per-global state. *)
 type global = {
+  birth : int; (* wound-wait age: the gid of the logical txn's first attempt *)
   mutable awaiting : int option; (* pc of the step out at a site *)
   mutable decision : Gtm_log.decision option;
   mutable reason : string option;
   mutable terminated : Types.sid list;
       (* sites where the subtransaction was rolled back or the site
          terminated it: no rollback is fired there again *)
+  mutable blocked_at : float; (* when a site answered Blocked for this step *)
+  mutable wounded : int list; (* births this global wounded in that wait *)
 }
 
 type t = {
@@ -36,9 +45,16 @@ type t = {
   globals : (Types.gid, global) Hashtbl.t;
   blocked : (Types.gid, Types.sid) Hashtbl.t;
   pending : Queue_op.t Queue.t; (* GTM2 operations for the next round *)
+  wound_ms : float;
+  deadline_ms : float;
+  wait_set : unit -> Types.gid list;
+  mutable progressed : bool; (* something moved since the last tick *)
+  mutable last_progress : float; (* the tick that saw it *)
 }
 
-let create ~atomic ~protocol_of ~gtm2 ~perform () =
+let create ?(wound_after_ms = default_wound_ms)
+    ?(deadline_ms = default_deadline_ms) ?(wait_set = fun () -> []) ~atomic
+    ~protocol_of ~gtm2 ~perform () =
   {
     gtm1 = Gtm1.create ();
     atomic;
@@ -48,6 +64,11 @@ let create ~atomic ~protocol_of ~gtm2 ~perform () =
     globals = Hashtbl.create 64;
     blocked = Hashtbl.create 16;
     pending = Queue.create ();
+    wound_ms = wound_after_ms;
+    deadline_ms;
+    wait_set;
+    progressed = false;
+    last_progress = 0.;
   }
 
 let emit t e = t.perform t e
@@ -161,14 +182,23 @@ let mark_dead t gid reason ~terminated_at =
 
 (* --- inputs --------------------------------------------------------------- *)
 
-let admit t txn =
+let admit ?birth t txn =
   let ser_point_of sid =
     (if t.atomic then Ser_fun.for_protocol_atomic else Ser_fun.for_protocol)
       (t.protocol_of sid)
   in
   let info = Gtm1.admit t.gtm1 txn ~atomic:t.atomic ~ser_point_of () in
   Hashtbl.replace t.globals txn.Txn.id
-    { awaiting = None; decision = None; reason = None; terminated = [] };
+    {
+      birth = Option.value birth ~default:txn.Txn.id;
+      awaiting = None;
+      decision = None;
+      reason = None;
+      terminated = [];
+      blocked_at = 0.;
+      wounded = [];
+    };
+  t.progressed <- true;
   emit t (Log (Gtm_log.Admitted (txn, t.atomic)));
   enqueue t (Queue_op.Init info)
 
@@ -249,9 +279,11 @@ let pump ?(poll = fun () -> false) t =
     else if not (Queue.is_empty t.pending) then loop moved
     else moved
   in
-  loop false
+  let moved = loop false in
+  if moved then t.progressed <- true;
+  moved
 
-let reply t gid ?pc r =
+let reply t gid ?pc ?(now = 0.) r =
   match Hashtbl.find_opt t.globals gid with
   | None -> None
   | Some g -> (
@@ -264,7 +296,13 @@ let reply t gid ?pc r =
           let sid = step.Gtm1.site in
           let dead = Gtm1.is_dead t.gtm1 gid in
           (match r with
-          | Blocked when not dead -> Hashtbl.replace t.blocked gid sid
+          | Blocked when not dead ->
+              (* A repeated answer for the same wait keeps its stamp. *)
+              if not (Hashtbl.mem t.blocked gid) then begin
+                Hashtbl.replace t.blocked gid sid;
+                g.blocked_at <- now;
+                g.wounded <- []
+              end
           | Blocked ->
               (* A kill landed while this answer was in flight: nobody
                  would ever complete the wait. *)
@@ -283,11 +321,93 @@ let reply t gid ?pc r =
               settle t gid g;
               ignore (mark_dead t gid reason ~terminated_at:(Some sid));
               complete t gid step);
+          if not (r = Blocked && not dead) then t.progressed <- true;
           Some step)
 
 let kill t gid reason = mark_dead t gid reason ~terminated_at:None
 
+(* --- the victim policy ------------------------------------------------- *)
+
+(* A global whose commit is decided is past the point of cheap retry and
+   about to finish anyway: never a victim. *)
+let killable t gid =
+  match Hashtbl.find_opt t.globals gid with
+  | Some g -> g.decision <> Some Gtm_log.Commit && not (Gtm1.is_dead t.gtm1 gid)
+  | None -> false
+
+(* [f] over the killable entries of a per-gid table. *)
+let candidates t tbl f =
+  Hashtbl.fold
+    (fun gid x acc ->
+      if killable t gid then f gid (Hashtbl.find t.globals gid) x :: acc else acc)
+    tbl []
+
+(* Safety valve: nothing moved for the deadline and no waiter is past a
+   window (e.g. everything waits inside GTM2). Prefer the youngest global
+   the scheme itself delays: its fake acks unwedge the scheme. The WAIT set
+   can hold a finished gid (Scheme 3 parks a [Fin]), which is no victim. *)
+let valve t ~now =
+  let youngest gids =
+    List.fold_left
+      (fun best gid ->
+        let birth g = (Hashtbl.find t.globals g).birth in
+        match best with
+        | Some b when Wound.older (birth gid) gid (birth b) b -> best
+        | Some _ | None -> Some gid)
+      None (List.filter (killable t) gids)
+  in
+  if Hashtbl.length t.globals = 0 || now -. t.last_progress <= t.deadline_ms
+  then None
+  else
+    let victim =
+      match youngest (t.wait_set ()) with
+      | None -> youngest (Gtm1.active t.gtm1)
+      | parked -> parked
+    in
+    Option.map
+      (fun victim -> { victim; reason = "stall-timeout"; wounder = None })
+      victim
+
+(* One decision per tick. Only when some waiter aged into the wound window
+   does the tick pay for the resident sweep. *)
+let tick t ~now =
+  if t.progressed then begin
+    t.progressed <- false;
+    t.last_progress <- now
+  end;
+  let waiters =
+    candidates t t.blocked (fun gid g sid ->
+        { Wound.w_gid = gid; w_birth = g.birth; w_site = sid;
+          w_since = g.blocked_at; w_wounded = g.wounded })
+  in
+  let verdict =
+    if Wound.quiet ~now ~wound_after_ms:t.wound_ms ~waiters then valve t ~now
+    else
+      let residents =
+        candidates t t.globals (fun gid g _ ->
+            { Wound.r_gid = gid; r_birth = g.birth;
+              r_sites = Gtm1.begun_sites t.gtm1 gid })
+      in
+      match
+        Wound.decide ~now ~wound_after_ms:t.wound_ms ~deadline_ms:t.deadline_ms
+          ~waiters ~residents
+      with
+      | Wound.Wound { wounder; victim } ->
+          let w = Hashtbl.find t.globals wounder in
+          w.wounded <- (Hashtbl.find t.globals victim).birth :: w.wounded;
+          Some { victim; reason = "wound"; wounder = Some wounder }
+      | Wound.Timeout victim ->
+          Some { victim; reason = "stall-deadline"; wounder = None }
+      | Wound.No_kill -> valve t ~now
+  in
+  match verdict with
+  | Some v when kill t v.victim v.reason ->
+      t.last_progress <- now;
+      verdict
+  | Some _ | None -> None
+
 let site_crash t sid ~in_doubt =
+  t.progressed <- true;
   List.iter
     (fun gid ->
       let g = Hashtbl.find t.globals gid in

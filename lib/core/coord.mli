@@ -3,16 +3,18 @@
     Figure 1 has one global transaction manager. This module is its state
     machine, shared by the synchronous glue ({!Gtm}), the discrete-event
     simulator and the service runtime; each of them keeps only its
-    transport and its victim policy.
+    transport. The two timed drivers also share its victim policy
+    ({!tick}); [Gtm], which has no clock, keeps its quiescent-round rule.
 
-    The core takes {e inputs} — {!admit}, {!reply}, {!kill},
+    The core takes {e inputs} — {!admit}, {!reply}, {!kill}, {!tick},
     {!site_crash}, {!recover} — and hands every resulting {e effect} to
     the caller's [perform] function, in order: run a step at a site, roll
     a subtransaction back, resolve a participant, append a {!Gtm_log}
     record, finish a global. It never touches a site, a mailbox, a clock
-    or a sink. GTM2 is reached through the caller's [gtm2] function, which
-    runs a batch of queue operations through the engine and returns the
-    scheme's effects; {!pump} drives that loop.
+    or a sink: time arrives as an argument. GTM2 is reached through the
+    caller's [gtm2] function, which runs a batch of queue operations
+    through the engine and returns the scheme's effects; {!pump} drives
+    that loop.
 
     The rules it owns:
     - admission, and the dispatch loop over {!Gtm1.next};
@@ -29,7 +31,9 @@
       Commit leaves, its Abort when it dies. Under two-phase commit a
       decided Commit is final and no kill takes it back;
     - [Fin] and the final outcome;
-    - site crashes and presumed-abort recovery from the log. *)
+    - site crashes and presumed-abort recovery from the log;
+    - the victim policy for the cross-site deadlocks no site sees (§3),
+      whose per-global state goes with the global at [Finish]. *)
 
 open Mdbs_model
 
@@ -60,7 +64,16 @@ type reply =
 
 type t
 
+(** The victim policy's defaults: {!tick} every 5 ms, a 20 ms wound window
+    and a 250 ms deadline, per wait and without progress. *)
+val default_tick_ms : float
+val default_wound_ms : float
+val default_deadline_ms : float
+
 val create :
+  ?wound_after_ms:float ->
+  ?deadline_ms:float ->
+  ?wait_set:(unit -> Types.gid list) ->
   atomic:bool ->
   protocol_of:(Types.sid -> Types.protocol_kind) ->
   gtm2:(Queue_op.t list -> Scheme.effect_ list) ->
@@ -70,13 +83,15 @@ val create :
 (** [~atomic]: two-phase commit. [protocol_of] gives each site's protocol,
     which fixes the serialization operation GTM1 routes through GTM2
     ({!Ser_fun}). [perform] carries out each effect as it is produced; it
-    may feed a reply back synchronously. *)
+    may feed a reply back synchronously. [wait_set] (default: empty) gives
+    the globals in GTM2's WAIT set; only the safety valve calls it. *)
 
 (** {2 Inputs} *)
 
-val admit : t -> Txn.t -> unit
-(** Register a global and queue its [Init]. Raises [Invalid_argument] on a
-    local or malformed transaction. *)
+val admit : ?birth:int -> t -> Txn.t -> unit
+(** Register a global and queue its [Init]. [birth] (default: the gid) is
+    its wound-wait age: a retry passes its first attempt's gid. Raises
+    [Invalid_argument] on a local or malformed transaction. *)
 
 val pump : ?poll:(unit -> bool) -> t -> bool
 (** Run GTM2 over the queued operations, handle its effects, call [poll]
@@ -84,11 +99,13 @@ val pump : ?poll:(unit -> bool) -> t -> bool
     every global as far as it goes without a reply; repeat until nothing
     moves. Returns whether anything moved. *)
 
-val reply : t -> Types.gid -> ?pc:int -> reply -> Gtm1.step option
+val reply : t -> Types.gid -> ?pc:int -> ?now:float -> reply -> Gtm1.step option
 (** A site's answer for the global's current step: [~pc] is the step's
     direct answer; without it, the completion of a {!Blocked} step.
-    Returns the step it answered, or [None] for a stale reply (unknown
-    global, another step, nothing outstanding). *)
+    [now] (default 0) stamps a {!Blocked} answer: the global's wait clock
+    starts there, and a repeated [Blocked] keeps the first stamp. Returns
+    the step it answered, or [None] for a stale reply (unknown global,
+    another step, nothing outstanding). *)
 
 val kill : t -> Types.gid -> string -> bool
 (** A victim policy's verdict. The global is rolled back everywhere; a
@@ -96,6 +113,21 @@ val kill : t -> Types.gid -> string -> bool
     arrives. Refused ([false]) for an unknown or dead global, and under
     two-phase commit for one whose Commit is decided. Every other death —
     a refusal, a site crash, GTM2's abort — follows the same rule. *)
+
+type victim = {
+  victim : Types.gid;
+  reason : string;  (** [wound], [stall-deadline] or [stall-timeout]. *)
+  wounder : Types.gid option;  (** The older waiter, for a wound. *)
+}
+
+val tick : t -> now:float -> victim option
+(** The victim policy, for a timed driver to call every
+    {!default_tick_ms}: kill at most one global that is alive and not
+    commit-decided, and return it. [wound] and [stall-deadline] are
+    the verdicts of {!Wound} over the site-blocked globals; otherwise,
+    if nothing moved for the deadline, [stall-timeout] kills the youngest
+    global in [wait_set], or else the youngest candidate. Progress is
+    stamped with the [now] of the tick that first sees it. *)
 
 val site_crash : t -> Types.sid -> in_doubt:Types.gid list -> unit
 (** The site restarted: kill every global that had begun there, or whose

@@ -55,8 +55,8 @@ let wait_table ?(config = default_config) () =
         "scheme0's FIFO parks every ser operation behind the whole \
          predecessor transaction, so its wait tail and response time grow \
          together (scheme1's per-site insert queues behave nearly the same \
-         at this load); schemes 2-3 admit more interleavings and collapse \
-         the tail by orders of magnitude — the quantitative form of S3's \
-         concurrency argument";
+         at this load); schemes 2-3 admit more interleavings and cut the \
+         p95 wait 8x — the quantitative form of S3's concurrency \
+         argument";
       ];
   }

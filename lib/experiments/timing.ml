@@ -41,9 +41,9 @@ let scheme_comparison ?(config = default_config) () =
     notes =
       [
         "S3's qualitative claims, measured: FIFO (scheme0) delays whole \
-         subtransactions (response time explodes); the smarter schemes' \
-         extra scheduling steps cost nothing visible at realistic \
-         latencies";
+         subtransactions (mean response 1.4x scheme3's, p95 2.2x); the \
+         smarter schemes' extra scheduling steps cost nothing visible at \
+         realistic latencies";
       ];
   }
 

@@ -23,7 +23,6 @@ type config = {
   local_rate : float;
   service_ms : float;
   latency_ms : float;
-  deadlock_timeout_ms : float;
   max_restarts : int;
   seed : int;
   atomic_commit : bool;
@@ -42,7 +41,6 @@ let default =
     local_rate = 0.05;
     service_ms = 1.0;
     latency_ms = 2.0;
-    deadlock_timeout_ms = 200.0;
     max_restarts = 10;
     seed = 23;
     atomic_commit = false;
@@ -87,17 +85,24 @@ type run = {
 
 type op_kind = Ser_op | Direct_op
 
+(* One attempt of a logical global transaction. *)
+type attempt = {
+  txn : Txn.t;
+  budget : int; (* restarts left *)
+  started : float; (* the logical transaction's first arrival *)
+  birth : Types.gid; (* its first attempt's gid: the wound-wait age *)
+}
+
 type event =
-  | Global_arrival of Txn.t * int * float
-      (* transaction, restart budget, logical start time *)
+  | Global_arrival of attempt
   | Local_arrival of Types.sid * Txn.t * int
   | Site_deliver of Types.sid * Types.tid * int * Op.action * op_kind
       (* operation [pc] of a global transaction reaches its site *)
   | Site_abort of Types.sid * Types.gid (* rollback order reaches the site *)
   | Local_step of Types.sid * Types.tid * Op.action list
-  | Gtm_ack of Types.gid * int * string option
-      (* a site's answer for operation [pc]: [Some reason] = refused *)
-  | Deadlock_scan
+  | Gtm_ack of Types.gid * int * Coord.reply
+      (* a site's answer for operation [pc] *)
+  | Tick (* the victim policy's timer *)
   | Fault_event of Fault.fault
   | Retry_check of Types.gid * int * int (* gid, pc, attempt *)
   | Recovery_commit of Types.sid * Types.gid
@@ -118,14 +123,13 @@ type sim = {
   faults_enabled : bool;
   link_rng : Rng.t; (* dedicated stream: link faults are plan-deterministic *)
   ser_log : Ser_schedule.t;
-  (* blocked operations at sites: value = (kind, pc, block start time) *)
-  pending_global : (Types.sid * Types.gid, op_kind * int * float) Hashtbl.t;
+  (* blocked operations at sites: value = (kind, pc) *)
+  pending_global : (Types.sid * Types.gid, op_kind * int) Hashtbl.t;
   local_cont : (Types.tid, Types.sid * Op.action list * float) Hashtbl.t;
-  started : (Types.gid, float) Hashtbl.t; (* logical start per attempt *)
-  budgets : (Types.gid, Txn.t * int) Hashtbl.t;
+  attempts_live : (Types.gid, attempt) Hashtbl.t; (* admitted, not finished *)
   (* per-site memory of executed operations (volatile, dies with the site):
      a redelivered operation is re-acknowledged from here, never re-run *)
-  dedup : (Types.sid * Types.gid * int, string option) Hashtbl.t;
+  dedup : (Types.sid * Types.gid * int, Coord.reply) Hashtbl.t;
   slow : (Types.sid, float * float) Hashtbl.t; (* factor, until *)
   dead_local : (Types.tid, unit) Hashtbl.t; (* locals killed by a site crash *)
   live_local_at : (Types.tid, Types.sid) Hashtbl.t;
@@ -181,7 +185,8 @@ let abort_cause reason =
   else
     match reason with
     | "wait-die" | "deadlock" | "c2pl-deadlock" -> "deadlock"
-    | "global-deadlock" -> "deadlock-timeout"
+    | "wound" -> "wound"
+    | "stall-deadline" | "stall-timeout" -> "stall_kill"
     | "sgt-cycle" | "gtm2-abort" -> "cycle"
     | "occ-validation" | "to-late-read" | "to-late-write" | "to-late-update" ->
         "validation"
@@ -214,11 +219,17 @@ let end_blocked_span sim key ~outcome =
   | None -> ()
 
 (* Close the dispatch-to-ack span; returns the dispatch time (for the
-   ser-latency histogram). *)
+   ser-latency histogram). A site hears of a kill one link latency after
+   the GTM decided, so the step's [site.blocked] child may still be open:
+   it closes first, keeping the track's close order LIFO. *)
 let end_op_span sim gid ~outcome =
   match Hashtbl.find_opt sim.op_spans gid with
   | Some (span, t0) ->
       Hashtbl.remove sim.op_spans gid;
+      Hashtbl.fold
+        (fun ((_, g) as key) _ acc -> if g = gid then key :: acc else acc)
+        sim.blocked_spans []
+      |> List.iter (fun key -> end_blocked_span sim key ~outcome);
       Sink.end_span sim.obs.Obs.sink ~attrs:[ ("outcome", outcome) ] span;
       Some t0
   | None -> None
@@ -227,14 +238,8 @@ let end_txn_span sim gid ~outcome =
   match Hashtbl.find_opt sim.txn_spans gid with
   | Some span ->
       Hashtbl.remove sim.txn_spans gid;
-      (* Close any children still open (deepest first) so the per-track
-         close order stays LIFO even on abort/crash paths. *)
-      let blocked =
-        Hashtbl.fold
-          (fun ((_, g) as key) _ acc -> if g = gid then key :: acc else acc)
-          sim.blocked_spans []
-      in
-      List.iter (fun key -> end_blocked_span sim key ~outcome) blocked;
+      (* Close the open step (and its blocked child) first, so the
+         per-track close order stays LIFO even on abort/crash paths. *)
       ignore (end_op_span sim gid ~outcome);
       Sink.end_span sim.obs.Obs.sink ~attrs:[ ("outcome", outcome) ] span
   | None -> ()
@@ -306,9 +311,9 @@ let send_to_site sim sid gid pc action kind ~attempt =
   if sim.faults_enabled then
     schedule sim (backoff sim attempt) (Retry_check (gid, pc, attempt))
 
-(* Acknowledge operation [pc] back to the GTM (also a faulty link). *)
-let ack_to_gtm sim gid pc failure ~extra =
-  send_link sim ~extra (Gtm_ack (gid, pc, failure))
+(* Answer operation [pc] back to the GTM (also a faulty link). *)
+let ack_to_gtm sim gid pc answer ~extra =
+  send_link sim ~extra (Gtm_ack (gid, pc, answer))
 
 let declare_if_needed sim gid sid action =
   if action = Op.Begin then begin
@@ -319,12 +324,9 @@ let declare_if_needed sim gid sid action =
 
 (* The GTM takes a site's answer for step [pc] through the core, which
    drops stale ones (a duplicate, or a message that outlived a retry or a
-   GTM restart). A direct step's span closes here with [outcome]; a
-   serialization operation's closes when GTM2 forwards its ack. *)
-let accept ?(outcome = "acked") sim gid pc answer =
-  match Coord.reply sim.coord gid ~pc answer with
-  | Some step when not step.Gtm1.via_gtm2 -> ignore (end_op_span sim gid ~outcome)
-  | Some _ | None -> ()
+   GTM restart). The step's span closes at the core's [Acked] record. *)
+let accept sim gid pc answer =
+  ignore (Coord.reply sim.coord gid ~pc ~now:sim.clock answer)
 
 (* Process completions that a site event may have unblocked. *)
 let drain_site sim sid =
@@ -332,14 +334,14 @@ let drain_site sim sid =
     (fun completion ->
       let tid = completion.Local_dbms.tid in
       match Hashtbl.find_opt sim.pending_global (sid, tid) with
-      | Some (kind, pc, _) ->
+      | Some (kind, pc) ->
           Hashtbl.remove sim.pending_global (sid, tid);
           end_blocked_span sim (sid, tid) ~outcome:"completed";
-          if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) None;
+          if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
           (match kind with
           | Ser_op -> Ser_schedule.record sim.ser_log sid tid
           | Direct_op -> ());
-          ack_to_gtm sim tid pc None ~extra:(service_at sim sid)
+          ack_to_gtm sim tid pc Coord.Done ~extra:(service_at sim sid)
       | None -> (
           match Hashtbl.find_opt sim.local_cont tid with
           | Some (cont_sid, rest, _) ->
@@ -361,38 +363,36 @@ let begin_op_span sim gid name attrs =
     Hashtbl.replace sim.op_spans gid (span, sim.clock)
 
 (* The core finished an attempt. One a recovered GTM resolved from the log
-   has no client to retry for: aborted, it fails rather than restarts. *)
+   has no client to retry for: aborted, it fails rather than restarts. A
+   restart keeps the first attempt's start time and birth. *)
 let finish_global sim gid outcome ~recovered =
+  let attempt = Hashtbl.find sim.attempts_live gid in
+  Hashtbl.remove sim.attempts_live gid;
   let span_outcome =
     match outcome with
     | Coord.Committed ->
         sim.committed_global <- sim.committed_global + 1;
         sim.live_globals <- sim.live_globals - 1;
         sim.last_commit <- sim.clock;
-        (match Hashtbl.find_opt sim.started gid with
-        | Some started ->
-            sim.responses <- (sim.clock -. started) :: sim.responses;
-            if sim.obs.Obs.live && not recovered then
-              Metrics.observe sim.m_response (sim.clock -. started)
-        | None -> ());
+        let response = sim.clock -. attempt.started in
+        sim.responses <- response :: sim.responses;
+        if sim.obs.Obs.live && not recovered then
+          Metrics.observe sim.m_response response;
         if recovered then "recovered-commit" else "committed"
-    | Coord.Aborted reason -> (
-        match Hashtbl.find_opt sim.budgets gid with
-        | Some (txn, budget) when budget > 0 && not recovered ->
-            sim.restarts <- sim.restarts + 1;
-            let clone = { txn with Txn.id = Types.fresh_tid () } in
-            (* Back off a little before retrying. *)
-            schedule sim (2.0 *. sim.config.latency_ms)
-              (Global_arrival (clone, budget - 1, Hashtbl.find sim.started gid));
-            "restart:" ^ reason
-        | _ ->
-            sim.failed_global <- sim.failed_global + 1;
-            sim.live_globals <- sim.live_globals - 1;
-            if recovered then "recovered-abort" else "failed:" ^ reason)
+    | Coord.Aborted reason when attempt.budget > 0 && not recovered ->
+        sim.restarts <- sim.restarts + 1;
+        let txn = { attempt.txn with Txn.id = Types.fresh_tid () } in
+        (* Back off a little before retrying. *)
+        schedule sim (2.0 *. sim.config.latency_ms)
+          (Global_arrival { attempt with txn; budget = attempt.budget - 1 });
+        "restart:" ^ reason
+    | Coord.Aborted reason ->
+        sim.failed_global <- sim.failed_global + 1;
+        sim.live_globals <- sim.live_globals - 1;
+        if recovered then "recovered-abort" else "failed:" ^ reason
   in
   if recovered then sim.in_doubt_resolved <- sim.in_doubt_resolved + 1;
-  end_txn_span sim gid ~outcome:span_outcome;
-  Hashtbl.remove sim.budgets gid
+  end_txn_span sim gid ~outcome:span_outcome
 
 (* Carry out the coordinator's effects in simulated time. Its log records
    double as the trace: a serialization operation's span opens when it is
@@ -421,9 +421,14 @@ let perform sim coord = function
           match ser_step gid with
           | Some sid -> begin_op_span sim gid "ser" [ ("site", string_of_int sid) ]
           | None -> ())
-      | Gtm_log.Acked (gid, _) when ser_step gid <> None -> (
-          match end_op_span sim gid ~outcome:"acked" with
-          | Some t0 when sim.obs.Obs.live ->
+      | Gtm_log.Acked (gid, _) -> (
+          (* The step's round trip is over; a dead global's says why it
+             died. *)
+          let outcome =
+            Option.value (Coord.death_reason coord gid) ~default:"acked"
+          in
+          match end_op_span sim gid ~outcome with
+          | Some t0 when sim.obs.Obs.live && ser_step gid <> None ->
               Metrics.observe sim.m_ser_latency (sim.clock -. t0)
           | Some _ | None -> ())
       | Gtm_log.Decided (gid, d) ->
@@ -456,15 +461,16 @@ let gtm2 sim ops =
   effects
 
 let new_coord sim =
-  Coord.create ~atomic:sim.config.atomic_commit
+  Coord.create
+    ~wait_set:(fun () -> List.map Mdbs_core.Queue_op.gid (Engine.wait_set sim.engine))
+    ~atomic:sim.config.atomic_commit
     ~protocol_of:(fun sid -> Local_dbms.protocol_kind (site sim sid))
     ~gtm2:(gtm2 sim) ~perform:(perform sim) ()
 
-let admit_global sim txn budget started =
-  Coord.admit sim.coord txn;
+let admit_global sim ({ txn; budget; started = _; birth } as attempt) =
+  Coord.admit ~birth sim.coord txn;
   sim.global_attempts <- txn :: sim.global_attempts;
-  Hashtbl.replace sim.started txn.Txn.id started;
-  Hashtbl.replace sim.budgets txn.Txn.id (txn, budget);
+  Hashtbl.replace sim.attempts_live txn.Txn.id attempt;
   if tracing sim then
     Hashtbl.replace sim.txn_spans txn.Txn.id
       (Sink.begin_span sim.obs.Obs.sink
@@ -483,7 +489,7 @@ let handle_site_deliver sim sid tid pc action kind =
     (* The rollback raced this operation; acknowledge without executing. *)
     match kind with
     | Ser_op -> accept sim tid pc Coord.Done
-    | Direct_op -> ack_to_gtm sim tid pc None ~extra:0.0
+    | Direct_op -> ack_to_gtm sim tid pc Coord.Done ~extra:0.0
   end
   else begin
     let dbms = site sim sid in
@@ -492,17 +498,17 @@ let handle_site_deliver sim sid tid pc action kind =
          outcome; never re-execute, never re-record ser(S). *)
       ack_to_gtm sim tid pc (Hashtbl.find sim.dedup (sid, tid, pc)) ~extra:0.0
     else if sim.faults_enabled && Hashtbl.mem sim.pending_global (sid, tid) then
-      (* Redelivery of an operation still blocked here: its eventual
-         completion produces the (single) acknowledgement. *)
-      ()
+      (* Redelivery of an operation still blocked here: say so again (the
+         first answer may have been lost); its completion answers Done. *)
+      ack_to_gtm sim tid pc Coord.Blocked ~extra:0.0
     else if
       sim.faults_enabled && action = Op.Prepare
       && List.mem tid (Local_dbms.in_doubt dbms)
     then begin
       (* Retried prepare for a transaction already prepared (and carried
          through a site crash): the vote stands. *)
-      Hashtbl.replace sim.dedup (sid, tid, pc) None;
-      ack_to_gtm sim tid pc None ~extra:0.0
+      Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
+      ack_to_gtm sim tid pc Coord.Done ~extra:0.0
     end
     else if
       sim.faults_enabled && action <> Op.Begin
@@ -515,14 +521,14 @@ let handle_site_deliver sim sid tid pc action kind =
          the transaction durable here. Anything else means the
          subtransaction's work was lost in the crash: vote no. *)
       match action with
-      | Op.Commit | Op.Abort -> ack_to_gtm sim tid pc None ~extra:0.0
-      | _ -> ack_to_gtm sim tid pc (Some "site-amnesia") ~extra:0.0
+      | Op.Commit | Op.Abort -> ack_to_gtm sim tid pc Coord.Done ~extra:0.0
+      | _ -> ack_to_gtm sim tid pc (Coord.Refused "site-amnesia") ~extra:0.0
     end
     else begin
       declare_if_needed sim tid sid action;
       match Local_dbms.submit dbms tid action with
       | Local_dbms.Executed value ->
-          if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) None;
+          if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
           (match action with
           | Op.Prepare -> note_prepared sim sid tid
           | Op.Commit | Op.Abort -> resolve_prepared sim sid tid
@@ -542,10 +548,13 @@ let handle_site_deliver sim sid tid pc action kind =
           (match kind with
           | Ser_op -> Ser_schedule.record sim.ser_log sid tid
           | Direct_op -> ());
-          ack_to_gtm sim tid pc None ~extra:(service_at sim sid);
+          ack_to_gtm sim tid pc Coord.Done ~extra:(service_at sim sid);
           drain_site sim sid
       | Local_dbms.Waiting ->
-          Hashtbl.replace sim.pending_global (sid, tid) (kind, pc, sim.clock);
+          (* The GTM hears of the wait: it starts the global's wait clock
+             for the victim policy. *)
+          ack_to_gtm sim tid pc Coord.Blocked ~extra:0.0;
+          Hashtbl.replace sim.pending_global (sid, tid) (kind, pc);
           if tracing sim then
             Hashtbl.replace sim.blocked_spans (sid, tid)
               (Sink.begin_span sim.obs.Obs.sink
@@ -563,8 +572,8 @@ let handle_site_deliver sim sid tid pc action kind =
             if action = Op.Ticket_op then "ticket:" ^ reason else reason
           in
           if sim.faults_enabled then
-            Hashtbl.replace sim.dedup (sid, tid, pc) (Some reason);
-          ack_to_gtm sim tid pc (Some reason) ~extra:0.0;
+            Hashtbl.replace sim.dedup (sid, tid, pc) (Coord.Refused reason);
+          ack_to_gtm sim tid pc (Coord.Refused reason) ~extra:0.0;
           drain_site sim sid
     end
   end
@@ -591,33 +600,6 @@ let handle_local_step sim sid tid actions =
           sim.live_locals <- sim.live_locals - 1;
           Hashtbl.remove sim.live_local_at tid;
           drain_site sim sid)
-
-(* Kill the youngest global transaction blocked longer than the timeout. *)
-let deadlock_scan sim =
-  let victims =
-    Hashtbl.fold
-      (fun (sid, gid) (_, pc, since) acc ->
-        if sim.clock -. since >= sim.config.deadlock_timeout_ms then
-          (gid, sid, pc) :: acc
-        else acc)
-      sim.pending_global []
-  in
-  match List.sort (fun (a, _, _) (b, _, _) -> compare b a) victims with
-  | [] -> ()
-  | (gid, sid, pc) :: _ ->
-      sim.forced_aborts <- sim.forced_aborts + 1;
-      Hashtbl.remove sim.pending_global (sid, gid);
-      end_blocked_span sim (sid, gid) ~outcome:"deadlock-timeout";
-      if tracing sim then
-        Sink.instant sim.obs.Obs.sink
-          ~track:(Sink.txn_track sim.obs.Obs.sink gid)
-          ~attrs:[ ("site", string_of_int sid) ]
-          "deadlock.kill";
-      (* The site gives up the blocked operation: the GTM hears a refusal. *)
-      ignore (Local_dbms.submit (site sim sid) gid Op.Abort);
-      resolve_prepared sim sid gid;
-      accept ~outcome:"global-deadlock" sim gid pc (Coord.Refused "global-deadlock");
-      drain_site sim sid
 
 (* --- fault application ------------------------------------------------- *)
 
@@ -698,7 +680,7 @@ let apply_fault sim = function
 
 let handle_event sim event =
   match event with
-  | Global_arrival (txn, budget, started) -> admit_global sim txn budget started
+  | Global_arrival attempt -> admit_global sim attempt
   | Local_arrival (sid, txn, _budget) ->
       let dbms = site sim sid in
       if Local_dbms.needs_declarations dbms then
@@ -721,13 +703,21 @@ let handle_event sim event =
   | Local_step (sid, tid, actions) ->
       if not (Hashtbl.mem sim.dead_local tid) then
         handle_local_step sim sid tid actions
-  | Gtm_ack (gid, pc, None) -> accept sim gid pc Coord.Done
-  | Gtm_ack (gid, pc, Some reason) ->
-      accept ~outcome:reason sim gid pc (Coord.Refused reason)
-  | Deadlock_scan ->
-      deadlock_scan sim;
-      if sim.live_globals > 0 then
-        schedule sim sim.config.deadlock_timeout_ms Deadlock_scan
+  | Gtm_ack (gid, pc, answer) -> accept sim gid pc answer
+  | Tick ->
+      Option.iter
+        (fun { Coord.victim; reason; wounder } ->
+          sim.forced_aborts <- sim.forced_aborts + 1;
+          if tracing sim then
+            Sink.instant sim.obs.Obs.sink
+              ~track:(Sink.txn_track sim.obs.Obs.sink victim)
+              ~attrs:
+                (("reason", reason)
+                :: Option.fold wounder ~none:[] ~some:(fun w ->
+                       [ ("wounder", string_of_int w) ]))
+              "victim")
+        (Coord.tick sim.coord ~now:sim.clock);
+      if sim.live_globals > 0 then schedule sim Coord.default_tick_ms Tick
   | Fault_event fault -> apply_fault sim fault
   | Retry_check (gid, pc, attempt) ->
       if Coord.awaiting sim.coord gid = Some pc then begin
@@ -851,8 +841,7 @@ let run_scheme config make_scheme =
       ser_log = Ser_schedule.create ();
       pending_global = Hashtbl.create 32;
       local_cont = Hashtbl.create 32;
-      started = Hashtbl.create 64;
-      budgets = Hashtbl.create 64;
+      attempts_live = Hashtbl.create 64;
       dedup = Hashtbl.create 256;
       slow = Hashtbl.create 4;
       dead_local = Hashtbl.create 16;
@@ -899,7 +888,11 @@ let run_scheme config make_scheme =
     t := !t +. Rng.exponential rng config.global_rate;
     let txn = Workload.global_txn rng workload in
     sim.seq <- sim.seq + 1;
-    Binary_heap.push sim.heap (!t, sim.seq, Global_arrival (txn, config.max_restarts, !t))
+    Binary_heap.push sim.heap
+      ( !t,
+        sim.seq,
+        Global_arrival
+          { txn; budget = config.max_restarts; started = !t; birth = txn.Txn.id } )
   done;
   List.iter
     (fun dbms ->
@@ -912,7 +905,7 @@ let run_scheme config make_scheme =
         Binary_heap.push sim.heap (!t, sim.seq, Local_arrival (sid, txn, 0))
       done)
     sites;
-  schedule sim config.deadlock_timeout_ms Deadlock_scan;
+  schedule sim Coord.default_tick_ms Tick;
   if faults_enabled then
     List.iter
       (fun (at, fault) ->

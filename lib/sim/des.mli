@@ -5,7 +5,7 @@
     It runs the whole stack in simulated {e time}: exponential operation
     service times at the sites, a symmetric GTM-site network latency,
     Poisson arrivals of global and local transactions, restarts with a
-    budget, and a deadlock-timeout scan. Besides the logical quantities
+    budget, and the service's victim policy. Besides the logical quantities
     (waits, restarts, scheme steps, the two audits, the captured trace) it
     reports throughput and response times — the performance dimension the
     paper discusses qualitatively in §3 ("delaying an operation of ser(S)
@@ -13,11 +13,15 @@
     subtransaction").
 
     The machinery reuses the real components: the coordinator core
-    ({!Mdbs_core.Coord}: GTM1 and every per-global rule, shared with the
-    service runtime), the GTM2 engine with any scheme, and the per-site
-    local DBMSs. The simulator keeps only its event heap and transport, its
-    victim policy (the deadlock-timeout scan), restart budgets and spans.
-    All randomness is seeded; runs are deterministic.
+    ({!Mdbs_core.Coord}: GTM1, every per-global rule and the victim policy,
+    shared with the service runtime), the GTM2 engine with any scheme, and
+    the per-site local DBMSs. A site that makes a step wait answers
+    [Blocked] over the same link as any answer; a tick every 5 simulated
+    ms, while globals are live, calls {!Mdbs_core.Coord.tick} with its
+    defaults, and a victim's sites hear the rollback a link latency later.
+    The simulator keeps only its event heap and transport, restart budgets
+    (a restart keeps its first attempt's birth) and spans; it admits every
+    arrival. All randomness is seeded; runs are deterministic.
 
     {2 Faults}
 
@@ -46,9 +50,6 @@ type config = {
   local_rate : float;  (** Local arrivals per millisecond, per site. *)
   service_ms : float;  (** Mean per-operation service time at a site. *)
   latency_ms : float;  (** One-way GTM-to-site message latency. *)
-  deadlock_timeout_ms : float;
-      (** A global transaction blocked at a site longer than this is
-          presumed in a cross-site deadlock and aborted. *)
   max_restarts : int;
   seed : int;
   atomic_commit : bool;
@@ -78,6 +79,8 @@ type result = {
   committed_local : int;
   aborted_local : int;
   forced_aborts : int;
+      (** Globals the victim policy killed: wounds, deadline and
+          safety-valve kills. *)
   ser_waits : int;
   scheme_steps : int;
       (** Abstract steps the GTM2 scheme spent ([cond]/[act]), summed

@@ -39,7 +39,8 @@ type config = {
 }
 
 let config ?(atomic_commit = false) ?(capacity = 64) ?(max_active = 64)
-    ?(stall_timeout_ms = 250.) ?wound_after_ms ?(tick_ms = 5.) ?shed_parked
+    ?(stall_timeout_ms = Coord.default_deadline_ms) ?wound_after_ms
+    ?(tick_ms = Coord.default_tick_ms) ?shed_parked
     ?shed_blocked ?(obs = Obs.disabled) ?(certify = Certify_batch)
     ?(cert_checkpoint_every = 4096) ?telemetry_out ?openmetrics_out
     ?(telemetry_interval_ms = 1000.) ?(slos = []) ?flight_dump ~scheme ~sites
@@ -56,7 +57,8 @@ let config ?(atomic_commit = false) ?(capacity = 64) ?(max_active = 64)
     | None ->
         (* A few ticks of patience before wounding, but never past the hard
            deadline. *)
-        Float.min (Float.max (4. *. tick_ms) 20.) stall_timeout_ms
+        Float.min (Float.max (4. *. tick_ms) Coord.default_wound_ms)
+          stall_timeout_ms
   in
   let shed_parked =
     match shed_parked with Some n -> n | None -> 8 * max_active
@@ -106,7 +108,7 @@ let abort_cause_names =
 
 let cause_of_reason = function
   | "wound" -> "wound"
-  | "global-deadlock" | "stall-timeout" | "stall-deadline" -> "stall_kill"
+  | "stall-timeout" | "stall-deadline" -> "stall_kill"
   | "site-crash" -> "crash"
   | "shutdown" | "duplicate-admission" -> "other"
   | _ -> "scheme_reject"
@@ -172,7 +174,6 @@ type shared = {
   a_aborted : int Atomic.t;
   a_rejected : int Atomic.t;
   a_sheds : int Atomic.t;
-  a_force : int Atomic.t;
   a_wounds : int Atomic.t;
   a_stall_kills : int Atomic.t;
   a_crashes : int Atomic.t;
@@ -216,11 +217,7 @@ type t = {
    once per operation; [outbox] collects every site dispatch of the round,
    flushed as one [Batch] message per site (one mailbox put per site per
    round), in dispatch order — per-site execution order equals dispatch
-   order, which Theorem 2 needs.
-
-   [since] stamps when a site answered [Waiting] for a global's current
-   step: the stall detector ages each blocked transaction on its own clock
-   instead of waiting for global quiescence. *)
+   order, which Theorem 2 needs. *)
 
 type gst = {
   sh' : shared;
@@ -228,20 +225,14 @@ type gst = {
   mutable coord : Coord.t;
   ser_log : Ser_schedule.t;
   promises : (Types.tid, Outcome.t Promise.t) Hashtbl.t;
-  births : (Types.gid, int) Hashtbl.t;
   admit_times : (Types.gid, float) Hashtbl.t;
       (* admission clock stamp, single-writer (GTM domain): feeds the
          svc_response_ms histogram at finish *)
-  since : (Types.gid, float) Hashtbl.t;
-  wounded : (Types.gid, float * int list) Hashtbl.t;
-      (* waiter -> (the [since] of its wait, births it wounded in that
-         wait): {!Wound}'s once-per-wait rule *)
   parked : (Txn.t * int * Outcome.t Promise.t) Queue.t;
   txn_spans : (Types.gid, int) Hashtbl.t;
   outbox : (Types.sid, Site_worker.request Queue.t) Hashtbl.t;
   mutable outbox_sites : Types.sid list;  (* sites with queued dispatches *)
   mutable globals_rev : (Types.tid * Types.sid list) list;
-  mutable last_progress : float;
 }
 
 let with_sink g f =
@@ -309,8 +300,6 @@ let telem_flush sh ~now_ms =
               end)
 
 let now g = Clock.now_ms g.sh'.clock
-
-let progress g = g.last_progress <- now g
 
 (* A step's request id is its program counter, so the core matches the
    reply; fire-and-forget requests (rollbacks) carry one no step has. *)
@@ -388,9 +377,6 @@ let finish_txn g gid outcome =
             ~attrs:[ ("outcome", Outcome.to_string final) ]
             span
       | None -> ());
-  Hashtbl.remove g.births gid;
-  Hashtbl.remove g.wounded gid;
-  Hashtbl.remove g.since gid;
   cert_feed g [ Incremental.End gid ];
   match Hashtbl.find_opt g.promises gid with
   | Some p ->
@@ -443,7 +429,6 @@ let admit_now g txn birth promise =
   end
   else begin
   Hashtbl.replace g.promises gid promise;
-  Hashtbl.replace g.births gid birth;
   Hashtbl.replace g.admit_times gid (now g);
   Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"txn.admit"
     [ ("gid", string_of_int gid) ];
@@ -461,8 +446,7 @@ let admit_now g txn birth promise =
           "svc.txn"
       in
       Hashtbl.replace g.txn_spans gid span);
-  Coord.admit g.coord txn;
-  progress g
+  Coord.admit ~birth g.coord txn
   end
 
 let admit_parked g =
@@ -480,34 +464,24 @@ let admit_parked g =
 (* ----------------------------------------------------------- site replies *)
 
 (* Hand a site's answer to the core; a serialization operation that
-   executed joins ser(S). Returns whether the core took it. *)
-let answer g gid ?pc r =
-  match Coord.reply g.coord gid ?pc r with
-  | Some step ->
-      if r = Coord.Done && step.Gtm1.via_gtm2 then begin
-        let sid = step.Gtm1.site in
-        if g.sh'.retain_audit then Ser_schedule.record g.ser_log sid gid;
-        cert_feed g [ Incremental.Ser (gid, sid) ]
-      end;
-      true
-  | None -> false
+   executed joins ser(S). *)
+let answer g gid ?pc ?now r =
+  match Coord.reply g.coord gid ?pc ?now r with
+  | Some step when r = Coord.Done && step.Gtm1.via_gtm2 ->
+      let sid = step.Gtm1.site in
+      if g.sh'.retain_audit then Ser_schedule.record g.ser_log sid gid;
+      cert_feed g [ Incremental.Ser (gid, sid) ]
+  | Some _ | None -> ()
 
-let handle_reply g progressed = function
-  | Site_worker.Executed { req; sid = _; tid } ->
-      if answer g tid ~pc:req Coord.Done then progressed := true
+let handle_reply g = function
+  | Site_worker.Executed { req; sid = _; tid } -> answer g tid ~pc:req Coord.Done
   | Site_worker.Waiting { req; sid = _; tid } ->
-      (* A kill may land while this reply is in flight: the core then
-         completes the step at once, which is progress; a live waiter is
-         not. *)
-      let dead = Coord.is_dead g.coord tid in
-      if answer g tid ~pc:req Coord.Blocked then
-        if dead then progressed := true else Hashtbl.replace g.since tid (now g)
+      (* The stamp starts the global's wait clock. *)
+      answer g tid ~pc:req ~now:(now g) Coord.Blocked
   | Site_worker.Refused { req; sid = _; tid; reason } ->
-      if answer g tid ~pc:req (Coord.Refused reason) then progressed := true
-  | Site_worker.Unblocked { sid = _; tid; action = _ } ->
-      if answer g tid Coord.Done then progressed := true
+      answer g tid ~pc:req (Coord.Refused reason)
+  | Site_worker.Unblocked { sid = _; tid; action = _ } -> answer g tid Coord.Done
   | Site_worker.Crashed { sid; in_doubt } ->
-      progressed := true;
       Atomic.incr g.sh'.a_crashes;
       with_sink g (fun sink ->
           Sink.instant sink
@@ -524,138 +498,20 @@ let handle_reply g progressed = function
 
 (* -------------------------------------------------- stalls and deadlocks *)
 
-(* A transaction blocked inside a site (its operation answered [Waiting])
-   with no single-site deadlock means a potential cross-site cycle — or,
-   far more often under load, an ordinary queue behind a long lock hold.
-   Each blocked transaction ages on its own clock; the victim policy is
-   {!Wound}'s bounded wound-wait: an old-enough waiter wounds the youngest
-   strictly-younger transaction resident at its blocked site (age priority
-   — the oldest member of any conflict set always survives, so retries,
-   which inherit their first attempt's birth, cannot starve), and a waiter
-   past the hard deadline with nothing to wound is killed itself. One
-   victim per tick: its death may unblock the rest of the clique, so
-   re-evaluate before killing again. A global whose commit is decided is
-   never a victim: it is past the point of cheap retry and about to finish
-   anyway. *)
-
-let birth_of g gid =
-  match Hashtbl.find_opt g.births gid with Some b -> b | None -> gid
-
-let killable g gid =
-  Coord.is_known g.coord gid
-  && (not (Coord.is_dead g.coord gid))
-  && not (Coord.commit_decided g.coord gid)
-
-(* Safety valve: progress has stalled globally but no site-blocked waiter
-   is past any window (e.g. everything waits inside GTM2). Prefer the
-   youngest transaction the scheme itself is delaying (GTM2's WAIT set);
-   its fake acks un-wedge the scheme. *)
-let stall_kill g =
-  (* The WAIT set can hold a {e finished} transaction: scheme3 parks a
-     [Fin] until the fin's serialized-before set drains, and the core
-     forgot the gid the moment its program ended. Unknown gids are not
-     victims — killing is for transactions that still hold something. *)
-  let candidates =
-    match List.filter (killable g) (Gtm_sched.wait_gids g.sh'.sched) with
-    | [] -> List.filter (killable g) (Coord.active g.coord)
-    | waiting -> waiting
-  in
-  let youngest =
-    List.fold_left
-      (fun best gid ->
-        match best with
-        | None -> Some gid
-        | Some b ->
-            if Wound.older (birth_of g b) b (birth_of g gid) gid then Some gid
-            else best)
-      None candidates
-  in
-  match youngest with
-  | None -> false
-  | Some victim ->
-      Atomic.incr g.sh'.a_stall_kills;
-      Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"txn.stall_kill"
-        [ ("victim", string_of_int victim) ];
-      Coord.kill g.coord victim "stall-timeout"
-
-let wounded_in_wait g gid ~since =
-  match Hashtbl.find_opt g.wounded gid with
-  | Some (s, births) when s = since -> births
-  | _ -> []
-
-(* One stall-detector pass; returns whether it killed. *)
+(* One pass of the core's victim policy ({!Coord.tick}); count the victim
+   it returns. *)
 let on_tick g =
-  let active = Coord.active g.coord in
-  if active = [] then false
-  else begin
-    (* The waiter candidate list comes from the core's blocked set — a
-       domain-private snapshot, no lock. Only when some waiter actually
-       aged into the wound window does the tick pay for the resident sweep
-       (per-active [begun_sites]) and, on the safety-valve path, the
-       engine-lock [wait_gids] probe inside {!stall_kill}. *)
-    let waiters =
-      List.filter_map
-        (fun (gid, sid) ->
-          if killable g gid then
-            let since = Hashtbl.find g.since gid in
-            Some
-              { Wound.w_gid = gid; w_birth = birth_of g gid; w_site = sid;
-                w_since = since; w_wounded = wounded_in_wait g gid ~since }
-          else None)
-        (Coord.blocked g.coord)
-    in
-    let valve () =
-      (* Only a real kill resets the stall clock: a no-op pass (every
-         remaining global already dead and draining) must not mask a
-         wedged drain. *)
-      now g -. g.last_progress > g.sh'.cfg_stall_ms && stall_kill g
-    in
-    let killed =
-      if Wound.quiet ~now:(now g) ~wound_after_ms:g.sh'.cfg_wound_ms ~waiters
-      then
-        (* No waiter past any window ([wound_after_ms <= stall deadline]):
-           {!Wound.decide} could only answer [No_kill]. Keep the global
-           no-progress valve. *)
-        valve ()
-      else
-        let residents =
-          List.filter_map
-            (fun gid ->
-              if killable g gid then
-                Some
-                  { Wound.r_gid = gid; r_birth = birth_of g gid;
-                    r_sites = Coord.begun_sites g.coord gid }
-              else None)
-            active
-        in
-        match
-          Wound.decide ~now:(now g) ~wound_after_ms:g.sh'.cfg_wound_ms
-            ~deadline_ms:g.sh'.cfg_stall_ms ~waiters ~residents
-        with
-        | Wound.Wound { wounder; victim } ->
-            let since = Hashtbl.find g.since wounder in
-            Hashtbl.replace g.wounded wounder
-              (since, birth_of g victim :: wounded_in_wait g wounder ~since);
-            Atomic.incr g.sh'.a_wounds;
-            Atomic.incr g.sh'.a_force;
-            Metrics.inc g.sh'.m_force;
-            Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0 ~name:"txn.wound"
-              [
-                ("victim", string_of_int victim);
-                ("wounder", string_of_int wounder);
-              ];
-            Coord.kill g.coord victim "wound"
-        | Wound.Timeout victim ->
-            Atomic.incr g.sh'.a_stall_kills;
-            Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0
-              ~name:"txn.stall_kill"
-              [ ("victim", string_of_int victim) ];
-            Coord.kill g.coord victim "stall-deadline"
-        | Wound.No_kill -> valve ()
-    in
-    if killed then progress g;
-    killed
-  end
+  match Coord.tick g.coord ~now:(now g) with
+  | None -> false
+  | Some { Coord.victim; reason = _; wounder } ->
+      Metrics.inc g.sh'.m_force;
+      Atomic.incr (if wounder = None then g.sh'.a_stall_kills else g.sh'.a_wounds);
+      Flight.record g.sh'.flight ~ts_ms:(now g) ~track:0
+        ~name:(if wounder = None then "txn.stall_kill" else "txn.wound")
+        (("victim", string_of_int victim)
+        :: Option.fold wounder ~none:[] ~some:(fun w ->
+               [ ("wounder", string_of_int w) ]));
+      true
 
 (* ------------------------------------------------------------- the pump *)
 
@@ -665,7 +521,7 @@ let on_tick g =
    ({!Gtm_sched.run_ops}) — then admit parked globals into freed slots and
    go again. *)
 let rec pump g =
-  if Coord.pump g.coord then progress g;
+  ignore (Coord.pump g.coord);
   if admit_parked g then pump g
 
 (* -------------------------------------------------------- the GTM domain *)
@@ -676,7 +532,6 @@ let rec pump g =
    the per-message cost of the old loop (one lock acquisition + one
    engine fixpoint each) is paid once per batch. *)
 let handle_batch g msgs =
-  let progressed = ref false in
   let ticks = ref 0 in
   List.iter
     (fun msg ->
@@ -702,12 +557,11 @@ let handle_batch g msgs =
           else if Atomic.get g.sh'.a_active < g.sh'.cfg_max_active then
             admit_now g txn birth promise
           else Queue.add (txn, birth, promise) g.parked
-      | Replies rs -> List.iter (handle_reply g progressed) rs
+      | Replies rs -> List.iter (handle_reply g) rs
       | Tick ->
           incr ticks;
           ignore (Atomic.fetch_and_add g.sh'.pending_ticks (-1)))
     msgs;
-  if !progressed then progress g;
   pump g;
   (* The tick check runs after the pump so freshly made progress counts,
      and at most once per batch however many ticks were queued. A kill
@@ -726,16 +580,12 @@ let gtm_loop sh worker_of =
           ~gtm2:(fun _ -> []) ~perform:(fun _ _ -> ()) ();
       ser_log = Ser_schedule.create ();
       promises = Hashtbl.create 64;
-      births = Hashtbl.create 64;
       admit_times = Hashtbl.create 64;
-      since = Hashtbl.create 16;
-      wounded = Hashtbl.create 16;
       parked = Queue.create ();
       txn_spans = Hashtbl.create 64;
       outbox = Hashtbl.create 16;
       outbox_sites = [];
       globals_rev = [];
-      last_progress = Clock.now_ms sh.clock;
     }
   in
   let protocol_of sid =
@@ -744,8 +594,9 @@ let gtm_loop sh worker_of =
     | None -> invalid_arg (Printf.sprintf "svc: unknown site %d" sid)
   in
   g.coord <-
-    Coord.create ~atomic:sh.cfg_atomic ~protocol_of ~gtm2:(gtm2 sh)
-      ~perform:(perform g) ();
+    Coord.create ~wound_after_ms:sh.cfg_wound_ms ~deadline_ms:sh.cfg_stall_ms
+      ~wait_set:(fun () -> Gtm_sched.wait_gids sh.sched)
+      ~atomic:sh.cfg_atomic ~protocol_of ~gtm2:(gtm2 sh) ~perform:(perform g) ();
   let done_ () =
     Atomic.get sh.draining
     && Coord.active g.coord = []
@@ -858,7 +709,6 @@ let start (cfg : config) =
       a_aborted = Atomic.make 0;
       a_rejected = Atomic.make 0;
       a_sheds = Atomic.make 0;
-      a_force = Atomic.make 0;
       a_wounds = Atomic.make 0;
       a_stall_kills = Atomic.make 0;
       a_crashes = Atomic.make 0;
@@ -1053,7 +903,7 @@ let stats t =
     aborted = Atomic.get t.sh.a_aborted;
     rejected = Atomic.get t.sh.a_rejected;
     sheds = Atomic.get t.sh.a_sheds;
-    force_aborts = Atomic.get t.sh.a_force;
+    force_aborts = Atomic.get t.sh.a_wounds + Atomic.get t.sh.a_stall_kills;
     wounds = Atomic.get t.sh.a_wounds;
     stall_kills = Atomic.get t.sh.a_stall_kills;
     site_crashes = Atomic.get t.sh.a_crashes;

@@ -12,21 +12,13 @@
     and admission control ({!try_submit_global} refuses instead, and the
     GTM itself {e sheds} admissions — a distinct {!Outcome.Shed}, not an
     abort — once its parked queue or site-blocked population exceeds a
-    bound); a ticker thread drives the stall detector that converts
-    cross-site deadlocks — invisible to every single site — into forced
-    aborts. Each site-blocked transaction ages on its own clock (stamped
-    when the site answers [Waiting]); the victim policy is {!Wound}'s
-    bounded wound-wait: an old-enough waiter wounds the youngest
-    strictly-younger transaction resident at its blocked site, at most
-    once per logical transaction and wait (age priority — the oldest
-    member of a conflict set is never the victim, and retries inherit
-    their first attempt's birth via [?birth], so no transaction
-    starves), while a waiter past the hard [stall_timeout_ms] deadline
-    with nothing to wound is killed itself (bounded wait — liveness
-    without exact conflict attribution). A
-    global-quiescence safety valve backs both rules for stalls with no
-    identifiable site block. One victim per tick; a global whose commit is
-    decided is never a victim. Every abort is
+    bound); a ticker thread calls the core's victim policy
+    ({!Mdbs_core.Coord.tick}: bounded wound-wait, a per-wait deadline and
+    a no-progress safety valve, the policy the simulator runs too), which
+    converts cross-site deadlocks — invisible to every single site — into
+    forced aborts. A waiter's clock starts when its site answers
+    [Waiting]; retries inherit their first attempt's birth via [?birth],
+    so no transaction starves. Every abort is
     classified into a cause bucket ([wound], [stall_kill],
     [scheme_reject], [shed], [crash], [other]) surfaced in {!stats} and
     as [svc_aborts_total{cause}] counters.
@@ -79,15 +71,10 @@ type config = {
           GTM (so effective client-visible queueing is
           [capacity + max_active]). *)
   stall_timeout_ms : float;
-      (** Hard per-transaction wait deadline: a site-blocked global past it
-          with no younger conflicting resident to wound is killed itself —
-          one victim per tick. Also the global no-progress window for the
-          safety-valve kill when nothing is identifiably site-blocked. *)
+      (** The victim policy's per-wait deadline and no-progress window. *)
   wound_after_ms : float;
-      (** Wound window: a site-blocked global waiting this long wounds the
-          youngest strictly-younger transaction resident at its blocked
-          site ({!Wound}). Defaults to [max (4 * tick_ms) 20], capped at
-          [stall_timeout_ms]. *)
+      (** The victim policy's wound window. Defaults to
+          [max (4 * tick_ms) 20], capped at [stall_timeout_ms]. *)
   tick_ms : float;  (** Ticker period. *)
   shed_parked : int;
       (** Admission-shedding bound on the GTM's parked queue; admissions
@@ -156,7 +143,8 @@ type stats = {
   sheds : int;
       (** Admissions the GTM refused with {!Outcome.Shed} (overload
           control; no per-site state was ever acquired). *)
-  force_aborts : int;  (** Deadlock-suspicion kills (includes wounds). *)
+  force_aborts : int;
+      (** Every victim-policy kill: [wounds + stall_kills]. *)
   wounds : int;  (** Wound-wait kills: an older waiter wounded a younger. *)
   stall_kills : int;
       (** Hard-deadline kills and safety-valve kills (no woundable

@@ -46,14 +46,13 @@ let latency_hurts_response () =
 
 let cross_site_deadlocks_resolved () =
   (* 2PL everywhere, tiny hot key space: cross-site deadlocks are certain;
-     the timeout must resolve them all (nothing stranded). *)
+     the victim policy must resolve them all (nothing stranded). *)
   let config =
     {
       Des.default with
       Des.n_global = 25;
       locals_per_site = 4;
       seed = 9;
-      deadlock_timeout_ms = 50.0;
       workload =
         {
           Workload.default with

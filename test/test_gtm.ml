@@ -333,12 +333,12 @@ module Engine = Mdbs_core.Engine
 
 (* A core over a real GTM2 engine whose effects are only recorded: the test
    plays the sites and answers (or not) each Run itself. *)
-let recording_coord ?(atomic = false) protocol =
+let recording_coord ?(atomic = false) protocol_of =
   let effects = ref [] in
   let engine = Engine.create (Registry.make Registry.S3) in
   let coord =
-    Coord.create ~atomic
-      ~protocol_of:(fun _ -> protocol)
+    Coord.create ~atomic ~protocol_of
+      ~wait_set:(fun () -> List.map Queue_op.gid (Engine.wait_set engine))
       ~gtm2:(fun ops ->
         Engine.enqueue_all engine ops;
         Engine.run engine)
@@ -394,7 +394,7 @@ let first_begin_at site es =
 let coord_orphan_rollback () =
   (* A kill lands while a Begin is out: the sweep cannot know that site, so
      the Begin's answer rolls the global back there, once. *)
-  let coord, take = recording_coord Types.Two_phase_locking in
+  let coord, take = recording_coord (fun _ -> Types.Two_phase_locking) in
   Coord.admit coord (two_site_txn 1);
   ignore (Coord.pump coord);
   let pc = first_begin_at 0 (take ()) in
@@ -413,7 +413,7 @@ let coord_orphan_rollback () =
 let coord_blocked_after_kill () =
   (* A kill races the site's Waiting answer: nothing would ever complete
      the wait, so the core rolls back and completes the step at once. *)
-  let coord, take = recording_coord Types.Two_phase_locking in
+  let coord, take = recording_coord (fun _ -> Types.Two_phase_locking) in
   Coord.admit coord (two_site_txn 1);
   ignore (Coord.pump coord);
   let pc = first_begin_at 0 (take ()) in
@@ -424,7 +424,7 @@ let coord_blocked_after_kill () =
   check_bool "step completed" true (Coord.awaiting coord 1 = None)
 
 let coord_site_crash_lost_block () =
-  let coord, take = recording_coord Types.Two_phase_locking in
+  let coord, take = recording_coord (fun _ -> Types.Two_phase_locking) in
   Coord.admit coord (two_site_txn 1);
   ignore (Coord.pump coord);
   let pc = first_begin_at 0 (take ()) in
@@ -440,7 +440,7 @@ let coord_crash_elsewhere_frees_block () =
   (* Blocked at site 1, begun at site 0, and site 0 crashes: the global
      dies, and its wait at site 1 would never end (the rollback discards
      the queued step), so the core completes it. *)
-  let coord, take = recording_coord Types.Two_phase_locking in
+  let coord, take = recording_coord (fun _ -> Types.Two_phase_locking) in
   Coord.admit coord (two_site_txn 1);
   let seen = play coord take 1 ~stop:(fun es -> List.exists (fun (_, s, _) -> s = 1) (runs es)) in
   let pc = first_begin_at 1 seen in
@@ -463,13 +463,101 @@ let coord_decided_commit_is_final () =
   in
   List.iter
     (fun atomic ->
-      let coord, take = recording_coord ~atomic Types.Two_phase_locking in
+      let coord, take = recording_coord ~atomic (fun _ -> Types.Two_phase_locking) in
       Coord.admit coord (two_site_txn 1);
       ignore (play coord take 1 ~stop:decided);
       check_bool "commit decided" true (Coord.commit_decided coord 1);
       check_bool (Printf.sprintf "kill with 2pc=%b" atomic) (not atomic)
         (Coord.kill coord 1 "test"))
     [ true; false ]
+
+(* The cycle the victim policy breaks only at the deadline. Scheme 3, site
+   0 runs 2PL and site 1 TO. V's Begin at site 1 (its serialization
+   operation there) executes before O's, which puts V in ser_bef(O). O,
+   the older, holds x at site 0, so V's write of x blocks there; O's
+   serialization operation at site 0 (its Commit) then parks in GTM2's
+   WAIT set behind V's pending one. V may not wound O, which is older, and
+   O is parked in GTM2, not blocked at a site, so it wounds nobody: V dies
+   at the deadline, and O commits. A rule that lets a parked serialization
+   operation wound the younger blocker it waits for (ROADMAP.md) would
+   turn this into a wound inside the wound window. *)
+let coord_parked_cycle () =
+  let x = Item.Key 0 and y = Item.Key 1 and z = Item.Key 2 in
+  let o = Txn.global ~id:1 [ (0, [ Op.Write (x, 1) ]); (1, [ Op.Write (y, 1) ]) ] in
+  let v = Txn.global ~id:2 [ (1, [ Op.Write (z, 2) ]); (0, [ Op.Write (x, 2) ]) ] in
+  let coord, take =
+    recording_coord (function
+      | 0 -> Types.Two_phase_locking
+      | _ -> Types.Timestamp_ordering)
+  in
+  let seen = ref [] in
+  let out = ref [] in
+  let collect () =
+    let es = take () in
+    seen := !seen @ es;
+    List.iter
+      (function
+        | Coord.Run { gid; pc; site; action; _ } -> out := !out @ [ (gid, pc, site, action) ]
+        | _ -> ())
+      es
+  in
+  (* Answer the global's outstanding step. *)
+  let answer ?(now = 0.) gid r =
+    match List.partition (fun (g, _, _, _) -> g = gid) !out with
+    | [ (_, pc, site, action) ], rest ->
+        out := rest;
+        ignore (Coord.reply coord gid ~pc ~now r);
+        ignore (Coord.pump coord);
+        collect ();
+        (site, action)
+    | _ -> Alcotest.failf "expected one step of G%d out" gid
+  in
+  let rec run_until gid stop =
+    let site, action = answer gid Coord.Done in
+    if not (stop site action) then run_until gid stop
+  in
+  Coord.admit coord o;
+  Coord.admit coord v;
+  ignore (Coord.pump coord);
+  collect ();
+  (* V's Begin at site 1 executes first. *)
+  Alcotest.(check (pair int bool)) "V's Begin at the TO site" (1, true)
+    (match answer 2 Coord.Done with s, a -> (s, a = Op.Begin));
+  (* O runs until its Commit at site 0 parks in GTM2. *)
+  run_until 1 (fun site action -> site = 1 && action <> Op.Begin);
+  check_bool "O's serialization operation parked" true
+    (not (List.exists (fun (g, _, _, _) -> g = 1) !out));
+  (* V runs until its write of x at site 0, which blocks behind O. *)
+  run_until 2 (fun site action -> site = 0 && action = Op.Begin);
+  Alcotest.(check (pair int bool)) "V's write of x blocks at the 2PL site" (0, true)
+    (match answer ~now:0. 2 Coord.Blocked with s, a -> (s, a = Op.Write (x, 2)));
+  check_int "V blocked" 1 (Coord.blocked_count coord);
+  let rec tick now =
+    match Coord.tick coord ~now with
+    | None when now < 1000. -> tick (now +. Coord.default_tick_ms)
+    | verdict -> (now, verdict)
+  in
+  let at, verdict = tick Coord.default_tick_ms in
+  check_bool "no kill before the deadline" true (at >= Coord.default_deadline_ms);
+  (match verdict with
+  | Some { Coord.victim = 2; reason = "stall-deadline"; wounder = None } -> ()
+  | Some { Coord.victim; reason; _ } -> Alcotest.failf "G%d killed by %s" victim reason
+  | None -> Alcotest.fail "nothing killed");
+  ignore (Coord.pump coord);
+  collect ();
+  (* V's rollback releases x; O's Commits go out and are answered. *)
+  while List.exists (fun (g, _, _, _) -> g = 1) !out do
+    ignore (answer 1 Coord.Done)
+  done;
+  Alcotest.(check (list (pair int string))) "outcomes"
+    [ (2, "aborted stall-deadline"); (1, "committed") ]
+    (List.map
+       (fun (gid, outcome) ->
+         ( gid,
+           match outcome with
+           | Coord.Committed -> "committed"
+           | Coord.Aborted r -> "aborted " ^ r ))
+       (finishes !seen))
 
 let () =
   Alcotest.run "mdbs-gtm"
@@ -502,5 +590,6 @@ let () =
           Alcotest.test_case "crash-elsewhere-frees-block" `Quick
             coord_crash_elsewhere_frees_block;
           Alcotest.test_case "decided-commit-is-final" `Quick coord_decided_commit_is_final;
+          Alcotest.test_case "parked-cycle" `Quick coord_parked_cycle;
         ] );
     ]

@@ -234,8 +234,9 @@ let span_props_chaos () =
         kind)
     [ (Registry.S1, 101); (Registry.S2, 108); (Registry.S3, 115) ]
 
-(* The deadlock scan refuses the step it kills: that step's op span must
-   end with the refusal, not "acked". Same run as the golden trace. *)
+(* A victim the policy kills while its step is blocked at a site never
+   gets that step acknowledged: the step's op span must end with the kill's
+   reason, not "acked". Same run as the golden trace. *)
 let deadlock_kill_refuses_op () =
   let obs = Obs.create ~metrics:false () in
   let config =
@@ -250,28 +251,45 @@ let deadlock_kill_refuses_op () =
     }
   in
   ignore (Des.run_full config Registry.S3);
+  let spans = Sink.spans obs.Obs.sink in
   let kills =
     List.filter_map
       (function
-        | Sink.Inst i when i.Sink.iname = "deadlock.kill" -> Some (i.Sink.itrack, i.Sink.its)
+        | Sink.Inst i when i.Sink.iname = "victim" ->
+            Some (i.Sink.itrack, i.Sink.its, List.assoc "reason" i.Sink.iattrs)
         | Sink.Inst _ | Sink.Begin _ | Sink.End _ -> None)
       (Sink.events obs.Obs.sink)
   in
-  check_bool "the scan killed a step" true (kills <> []);
-  let killed_ops =
-    List.filter
-      (fun (sp : Sink.span) ->
-        sp.Sink.name = "op" && List.mem (sp.Sink.track, sp.Sink.finish) kills)
-      (Sink.spans obs.Obs.sink)
+  check_bool "the policy killed a step" true (kills <> []);
+  (* A blocked step is completed by the kill itself, so its op span and
+     its site.blocked child close at the kill's instant. *)
+  let killed_blocked_ops =
+    List.concat_map
+      (fun (track, ts, reason) ->
+        let at_kill (sp : Sink.span) name =
+          sp.Sink.name = name && sp.Sink.track = track && sp.Sink.finish = ts
+        in
+        List.filter_map
+          (fun sp ->
+            if
+              at_kill sp "op"
+              && List.exists
+                   (fun (c : Sink.span) ->
+                     at_kill c "site.blocked" && c.Sink.parent = Some sp.Sink.id)
+                   spans
+            then Some (sp, reason)
+            else None)
+          spans)
+      kills
   in
-  check_int "one op span per kill" (List.length kills) (List.length killed_ops);
+  check_bool "a kill found its step blocked" true (killed_blocked_ops <> []);
   List.iter
-    (fun (sp : Sink.span) ->
+    (fun ((sp : Sink.span), reason) ->
       Alcotest.(check (option string))
         (Printf.sprintf "op span on track %d" sp.Sink.track)
-        (Some "global-deadlock")
+        (Some reason)
         (List.assoc_opt "outcome" sp.Sink.attrs))
-    killed_ops
+    killed_blocked_ops
 
 let disabled_run_traces_nothing () =
   let run = Des.run_full base_config Registry.S3 in

@@ -170,7 +170,7 @@ let scheme2_tsgd_invariant =
 (* ------------------------------------------------ end-to-end (Thm 2) --- *)
 
 (* Arrival rates from 0.005 to 0.1 globals/ms cover both the light regime
-   and the one where restarts and deadlock-timeout victims pile up. *)
+   and the one where restarts and victim-policy kills pile up. *)
 let driver_config_gen =
   QCheck.Gen.(
     let* seed = int_range 1 10_000 in

@@ -9,7 +9,7 @@ module Runtime = Mdbs_svc.Runtime
 module Loadgen = Mdbs_svc.Loadgen
 module Outcome = Mdbs_svc.Outcome
 module Retry = Mdbs_svc.Retry
-module Wound = Mdbs_svc.Wound
+module Wound = Mdbs_core.Wound
 module Registry = Mdbs_core.Registry
 module Workload = Mdbs_sim.Workload
 module Fault = Mdbs_sim.Fault
@@ -676,6 +676,10 @@ let deadline_spares_later_arrivals () =
   check_bool "V committed" true (Promise.await p_v = Outcome.Committed);
   check_bool "H committed" true (Promise.await p_h = Outcome.Committed);
   let res = Runtime.shutdown rt in
+  let st = res.Runtime.run_stats in
+  check_int "force_aborts counts every policy kill"
+    (st.Runtime.wounds + st.Runtime.stall_kills)
+    st.Runtime.force_aborts;
   check_bool "certified" true res.Runtime.certified
 
 (* Admission shedding: a burst far beyond max_active with a parked bound of
