@@ -15,7 +15,7 @@ type effect_ =
   | Log of Gtm_log.record
   | Finish of { gid : Types.gid; outcome : outcome; recovered : bool }
 
-type reply = Done | Blocked | Refused of string
+type reply = Mdbs_site.Server.answer = Done | Blocked | Refused of string
 
 type victim = { victim : Types.gid; reason : string; wounder : Types.gid option }
 
@@ -104,11 +104,7 @@ let blocked_count t = Hashtbl.length t.blocked
 
 let begun_sites t gid = Gtm1.begun_sites t.gtm1 gid
 
-let declaration t gid sid =
-  List.map
-    (fun (item, write) ->
-      (item, if write then Mdbs_lcc.Cc_types.Write_mode else Mdbs_lcc.Cc_types.Read_mode))
-    (Gtm1.declaration_for t.gtm1 gid sid)
+let declaration t gid sid = Gtm1.declaration_for t.gtm1 gid sid
 
 (* --- the rules ------------------------------------------------------------ *)
 

@@ -57,10 +57,9 @@ type effect_ =
       (** The global is resolved and forgotten. [recovered]: resolved by
           {!recover}, not by its own program. *)
 
-type reply =
-  | Done  (** The step executed. *)
-  | Blocked  (** The site queued it; a later [Done] completes it. *)
-  | Refused of string  (** The site aborted the subtransaction. *)
+type reply = Mdbs_site.Server.answer = Done | Blocked | Refused of string
+(** A site server's answer: the step executed; the site queued it, and a
+    later [Done] completes it; the site aborted the subtransaction. *)
 
 type t
 
@@ -167,7 +166,6 @@ val blocked_count : t -> int
 
 val begun_sites : t -> Types.gid -> Types.sid list
 
-val declaration :
-  t -> Types.gid -> Types.sid -> (Item.t * Mdbs_lcc.Cc_types.mode) list
-(** The global's lock set at a site, for conservative-2PL predeclaration
-    before its [Begin]. *)
+val declaration : t -> Types.gid -> Types.sid -> (Item.t * bool) list
+(** The global's access set at a site (item, write-like), which a site
+    server predeclares before its [Begin] where the protocol needs it. *)

@@ -1,6 +1,6 @@
 open Mdbs_model
 module Local_dbms = Mdbs_site.Local_dbms
-module Cc_types = Mdbs_lcc.Cc_types
+module Server = Mdbs_site.Server
 
 type status = Active | Committed | Aborted of string
 
@@ -8,44 +8,31 @@ type t = {
   engine : Engine.t;
   coord : Coord.t;
   atomic_commit : bool;
-  site_tbl : (Types.sid, Local_dbms.t) Hashtbl.t;
+  servers : Server.t list; (* by site id *)
   ser_log : Ser_schedule.t;
-  local_cont : (Types.tid, Types.sid * Op.action list) Hashtbl.t;
-      (* blocked local transactions: site and actions still to run *)
   statuses : (Types.tid, status) Hashtbl.t;
   gtm_log : Gtm_log.t; (* stable storage: survives a GTM crash *)
 }
 
-let find_site site_tbl sid =
-  match Hashtbl.find_opt site_tbl sid with
+let find_server servers sid =
+  match List.find_opt (fun s -> Server.sid s = sid) servers with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Gtm.site: unknown site %d" sid)
 
 (* Carry out the coordinator's effects synchronously: a step runs at its
-   site at once and its answer goes straight back to the core. *)
-let perform ~site_tbl ~ser_log ~statuses ~gtm_log ~reason_of coord effect =
-  let site = find_site site_tbl in
+   site's server at once and its answer goes straight back to the core. *)
+let perform ~servers ~ser_log ~statuses ~gtm_log ~reason_of coord effect =
+  let server = find_server servers in
   match effect with
   | Coord.Run { gid; pc; site = sid; action; ser } ->
-      let dbms = site sid in
-      if action = Op.Begin && Local_dbms.needs_declarations dbms then
-        Local_dbms.declare dbms gid (Coord.declaration coord gid sid);
-      let answer =
-        match Local_dbms.submit dbms gid action with
-        | Local_dbms.Executed _ ->
-            if ser then Ser_schedule.record ser_log sid gid;
-            Coord.Done
-        | Local_dbms.Waiting -> Coord.Blocked
-        | Local_dbms.Aborted reason -> Coord.Refused reason
+      let r =
+        Server.step (server sid) gid ~accesses:(Coord.declaration coord gid sid) action
       in
-      ignore (Coord.reply coord gid ~pc answer)
-  | Coord.Rollback (gid, sid) -> ignore (Local_dbms.submit (site sid) gid Op.Abort)
-  | Coord.Resolve (gid, sid, d) ->
-      let dbms = site sid in
-      if Local_dbms.is_active dbms gid then
-        ignore
-          (Local_dbms.submit dbms gid
-             (match d with Gtm_log.Commit -> Op.Commit | Gtm_log.Abort -> Op.Abort))
+      if ser && r.Server.answer = Server.Done then Ser_schedule.record ser_log sid gid;
+      ignore (Coord.reply coord gid ~pc r.Server.answer)
+  | Coord.Rollback (gid, sid) | Coord.Resolve (gid, sid, Gtm_log.Abort) ->
+      Server.resolve (server sid) gid Op.Abort
+  | Coord.Resolve (gid, sid, Gtm_log.Commit) -> Server.resolve (server sid) gid Op.Commit
   | Coord.Log r -> Gtm_log.append gtm_log r
   | Coord.Finish { gid; outcome; recovered } ->
       Hashtbl.replace statuses gid
@@ -56,9 +43,10 @@ let perform ~site_tbl ~ser_log ~statuses ~gtm_log ~reason_of coord effect =
             Aborted (Option.value (reason_of gid) ~default:r)
         | Coord.Aborted r -> Aborted r)
 
-let make ~engine ~atomic_commit ~site_tbl ~ser_log ~local_cont ~statuses
-    ~gtm_log ~reason_of =
-  let protocol_of sid = Local_dbms.protocol_kind (find_site site_tbl sid) in
+let make ~engine ~atomic_commit ~servers ~ser_log ~statuses ~gtm_log ~reason_of =
+  let protocol_of sid =
+    Local_dbms.protocol_kind (Server.dbms (find_server servers sid))
+  in
   let gtm2 ops =
     Engine.enqueue_all engine ops;
     Engine.run engine
@@ -68,33 +56,31 @@ let make ~engine ~atomic_commit ~site_tbl ~ser_log ~local_cont ~statuses
     atomic_commit;
     coord =
       Coord.create ~atomic:atomic_commit ~protocol_of ~gtm2
-        ~perform:(perform ~site_tbl ~ser_log ~statuses ~gtm_log ~reason_of)
+        ~perform:(perform ~servers ~ser_log ~statuses ~gtm_log ~reason_of)
         ();
-    site_tbl;
+    servers;
     ser_log;
-    local_cont;
     statuses;
     gtm_log;
   }
 
 let create ?(obs = Mdbs_obs.Obs.disabled) ?(atomic_commit = false) ~scheme
     ~sites () =
-  let site_tbl = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace site_tbl (Local_dbms.site_id s) s) sites;
-  make ~engine:(Engine.create ~obs scheme) ~atomic_commit ~site_tbl
-    ~ser_log:(Ser_schedule.create ()) ~local_cont:(Hashtbl.create 16)
-    ~statuses:(Hashtbl.create 64) ~gtm_log:(Gtm_log.create ())
-    ~reason_of:(fun _ -> None)
+  let servers =
+    List.map Server.create sites
+    |> List.sort (fun a b -> compare (Server.sid a) (Server.sid b))
+  in
+  make ~engine:(Engine.create ~obs scheme) ~atomic_commit ~servers
+    ~ser_log:(Ser_schedule.create ()) ~statuses:(Hashtbl.create 64)
+    ~gtm_log:(Gtm_log.create ()) ~reason_of:(fun _ -> None)
 
 let engine t = t.engine
 
 let gtm_log t = t.gtm_log
 
-let site t sid = find_site t.site_tbl sid
+let site t sid = Server.dbms (find_server t.servers sid)
 
-let sites t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.site_tbl []
-  |> List.sort (fun a b -> compare (Local_dbms.site_id a) (Local_dbms.site_id b))
+let sites t = List.map Server.dbms t.servers
 
 let ser_schedule t = t.ser_log
 
@@ -111,14 +97,12 @@ let submit_global t txn =
 
 (* --- local transactions ---------------------------------------------- *)
 
-let rec run_local_actions t tid sid actions =
-  match actions with
-  | [] -> Hashtbl.replace t.statuses tid Committed
-  | action :: rest -> (
-      match Local_dbms.submit (site t sid) tid action with
-      | Local_dbms.Executed _ -> run_local_actions t tid sid rest
-      | Local_dbms.Waiting -> Hashtbl.replace t.local_cont tid (sid, rest)
-      | Local_dbms.Aborted reason -> Hashtbl.replace t.statuses tid (Aborted reason))
+(* Run a local transaction until it parks or ends. *)
+let rec advance_local t srv tid = function
+  | Server.Ready -> advance_local t srv tid (snd (Server.local_step srv tid))
+  | Server.Parked -> ()
+  | Server.Committed -> Hashtbl.replace t.statuses tid Committed
+  | Server.Aborted reason -> Hashtbl.replace t.statuses tid (Aborted reason)
 
 let submit_local t txn =
   let sid =
@@ -127,39 +111,29 @@ let submit_local t txn =
     | Txn.Global _ -> invalid_arg "Gtm.submit_local: global transaction"
   in
   Hashtbl.replace t.statuses txn.Txn.id Active;
-  let dbms = site t sid in
-  if Local_dbms.needs_declarations dbms then
-    Local_dbms.declare dbms txn.Txn.id
-      (List.map
-         (fun (item, write) ->
-           (item, if write then Cc_types.Write_mode else Cc_types.Read_mode))
-         (Txn.accesses_at txn sid));
-  let actions = List.map (fun s -> s.Txn.action) txn.Txn.script in
-  run_local_actions t txn.Txn.id sid actions
+  let srv = find_server t.servers sid in
+  Server.start_local srv txn;
+  advance_local t srv txn.Txn.id Server.Ready
 
 (* --- completions ------------------------------------------------------ *)
 
-let handle_completion t sid (completion : Local_dbms.completion) =
-  let tid = completion.Local_dbms.tid in
-  match Hashtbl.find_opt t.local_cont tid with
-  | Some (cont_sid, rest) ->
-      Hashtbl.remove t.local_cont tid;
-      run_local_actions t tid cont_sid rest
-  | None -> (
-      (* A blocked step of a global transaction executed. *)
-      match Coord.reply t.coord tid Coord.Done with
-      | Some step when step.Gtm1.via_gtm2 -> Ser_schedule.record t.ser_log sid tid
+let handle_completion t srv = function
+  | Server.Unblocked (gid, _) -> (
+      match Coord.reply t.coord gid Coord.Done with
+      | Some step when step.Gtm1.via_gtm2 ->
+          Ser_schedule.record t.ser_log (Server.sid srv) gid
       | Some _ | None -> ())
+  | Server.Resumed (tid, _, progress) -> advance_local t srv tid progress
 
 let drain_completions t =
   List.fold_left
-    (fun progressed s ->
-      match Local_dbms.drain_completions s with
+    (fun progressed srv ->
+      match Server.drain srv with
       | [] -> progressed
       | completions ->
-          List.iter (handle_completion t (Local_dbms.site_id s)) completions;
+          List.iter (handle_completion t srv) completions;
           true)
-    false (sites t)
+    false t.servers
 
 (* --- forced aborts (cross-site deadlocks) ----------------------------- *)
 
@@ -207,8 +181,8 @@ let recover ~old ~scheme =
   let t =
     make
       ~engine:(Engine.create ~obs:(Engine.obs old.engine) scheme)
-      ~atomic_commit:old.atomic_commit ~site_tbl:old.site_tbl ~ser_log:old.ser_log
-      ~local_cont:old.local_cont ~statuses:old.statuses ~gtm_log:old.gtm_log
+      ~atomic_commit:old.atomic_commit ~servers:old.servers ~ser_log:old.ser_log
+      ~statuses:old.statuses ~gtm_log:old.gtm_log
       ~reason_of:(Coord.death_reason old.coord)
   in
   Coord.recover t.coord t.gtm_log;

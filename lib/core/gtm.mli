@@ -8,15 +8,15 @@
     directly.
 
     It drives the coordinator core ({!Coord}), which owns every per-global
-    rule, with no transport at all: each step runs at its site at once and
-    the site's answer goes straight back to the core. A local DBMS may
-    reject a global subtransaction (deadlock victim, late timestamp, failed
-    validation); the core then rolls the transaction back everywhere and
-    acknowledges its remaining serialization operations itself so the
-    scheme's data structures drain. This module keeps one rule of its own,
-    its victim policy: cross-site deadlocks (invisible to every single
-    site) are broken by killing the youngest blocked global transaction
-    after a quiescent round. *)
+    rule, and one server per site ({!Mdbs_site.Server}), which owns every
+    site rule, with no transport at all: a step runs at its site's server
+    at once and the answer goes straight back to the core; a local
+    transaction runs there until it ends or waits. A site may reject a
+    global subtransaction (deadlock victim, late timestamp, failed
+    validation); the core then rolls it back everywhere. This module keeps
+    the statuses and one rule of its own, its victim policy: a cross-site
+    deadlock (invisible to every single site) is broken by killing the
+    youngest blocked global after a quiescent round. *)
 
 open Mdbs_model
 

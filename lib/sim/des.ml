@@ -9,7 +9,7 @@ module Coord = Mdbs_core.Coord
 module Gtm_log = Mdbs_core.Gtm_log
 module Registry = Mdbs_core.Registry
 module Local_dbms = Mdbs_site.Local_dbms
-module Cc_types = Mdbs_lcc.Cc_types
+module Server = Mdbs_site.Server
 module Json = Mdbs_analysis.Json
 module Obs = Mdbs_obs.Obs
 module Sink = Mdbs_obs.Sink
@@ -98,15 +98,14 @@ type event =
   | Local_arrival of Types.sid * Txn.t * int
   | Site_deliver of Types.sid * Types.tid * int * Op.action * op_kind
       (* operation [pc] of a global transaction reaches its site *)
-  | Site_abort of Types.sid * Types.gid (* rollback order reaches the site *)
-  | Local_step of Types.sid * Types.tid * Op.action list
+  | Site_resolve of Types.sid * Types.gid * Op.action
+      (* a rollback, or a recovered GTM's verdict, reaches the site *)
+  | Local_step of Types.sid * Types.tid (* a local's next action *)
   | Gtm_ack of Types.gid * int * Coord.reply
       (* a site's answer for operation [pc] *)
   | Tick (* the victim policy's timer *)
   | Fault_event of Fault.fault
   | Retry_check of Types.gid * int * int (* gid, pc, attempt *)
-  | Recovery_commit of Types.sid * Types.gid
-      (* a recovered GTM completes a logged Commit decision at a site *)
 
 type sim = {
   config : config;
@@ -114,7 +113,7 @@ type sim = {
   mutable coord : Coord.t; (* volatile: replaced at a GTM crash *)
   make_scheme : unit -> Scheme.t; (* fresh scheme for a restarted GTM *)
   gtm_log : Gtm_log.t; (* the GTM's stable storage *)
-  site_tbl : (Types.sid, Local_dbms.t) Hashtbl.t;
+  servers : (Types.sid, Server.t) Hashtbl.t;
   heap : (float * int * event) Binary_heap.t;
   mutable seq : int;
   mutable clock : float;
@@ -125,14 +124,11 @@ type sim = {
   ser_log : Ser_schedule.t;
   (* blocked operations at sites: value = (kind, pc) *)
   pending_global : (Types.sid * Types.gid, op_kind * int) Hashtbl.t;
-  local_cont : (Types.tid, Types.sid * Op.action list * float) Hashtbl.t;
   attempts_live : (Types.gid, attempt) Hashtbl.t; (* admitted, not finished *)
   (* per-site memory of executed operations (volatile, dies with the site):
      a redelivered operation is re-acknowledged from here, never re-run *)
   dedup : (Types.sid * Types.gid * int, Coord.reply) Hashtbl.t;
   slow : (Types.sid, float * float) Hashtbl.t; (* factor, until *)
-  dead_local : (Types.tid, unit) Hashtbl.t; (* locals killed by a site crash *)
-  live_local_at : (Types.tid, Types.sid) Hashtbl.t;
   mutable committed_global : int;
   mutable failed_global : int;
   mutable restarts : int;
@@ -172,7 +168,9 @@ let schedule sim delay event =
   sim.seq <- sim.seq + 1;
   Binary_heap.push sim.heap (sim.clock +. delay, sim.seq, event)
 
-let site sim sid = Hashtbl.find sim.site_tbl sid
+let server sim sid = Hashtbl.find sim.servers sid
+
+let site sim sid = Server.dbms (server sim sid)
 
 (* --- observability helpers --------------------------------------------- *)
 
@@ -315,40 +313,41 @@ let send_to_site sim sid gid pc action kind ~attempt =
 let ack_to_gtm sim gid pc answer ~extra =
   send_link sim ~extra (Gtm_ack (gid, pc, answer))
 
-let declare_if_needed sim gid sid action =
-  if action = Op.Begin then begin
-    let dbms = site sim sid in
-    if Local_dbms.needs_declarations dbms then
-      Local_dbms.declare dbms gid (Coord.declaration sim.coord gid sid)
-  end
-
 (* The GTM takes a site's answer for step [pc] through the core, which
    drops stale ones (a duplicate, or a message that outlived a retry or a
    GTM restart). The step's span closes at the core's [Acked] record. *)
 let accept sim gid pc answer =
   ignore (Coord.reply sim.coord gid ~pc ~now:sim.clock answer)
 
+(* Where a local transaction's last action left it: its next action runs
+   one service time later. *)
+let local_progress sim sid tid = function
+  | Server.Ready -> schedule sim (service_at sim sid) (Local_step (sid, tid))
+  | Server.Parked -> ()
+  | Server.Committed ->
+      sim.committed_local <- sim.committed_local + 1;
+      sim.live_locals <- sim.live_locals - 1
+  | Server.Aborted _ ->
+      sim.aborted_local <- sim.aborted_local + 1;
+      sim.live_locals <- sim.live_locals - 1
+
 (* Process completions that a site event may have unblocked. *)
 let drain_site sim sid =
   List.iter
-    (fun completion ->
-      let tid = completion.Local_dbms.tid in
-      match Hashtbl.find_opt sim.pending_global (sid, tid) with
-      | Some (kind, pc) ->
-          Hashtbl.remove sim.pending_global (sid, tid);
-          end_blocked_span sim (sid, tid) ~outcome:"completed";
-          if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
-          (match kind with
-          | Ser_op -> Ser_schedule.record sim.ser_log sid tid
-          | Direct_op -> ());
-          ack_to_gtm sim tid pc Coord.Done ~extra:(service_at sim sid)
-      | None -> (
-          match Hashtbl.find_opt sim.local_cont tid with
-          | Some (cont_sid, rest, _) ->
-              Hashtbl.remove sim.local_cont tid;
-              schedule sim (service_at sim cont_sid) (Local_step (cont_sid, tid, rest))
-          | None -> ()))
-    (Local_dbms.drain_completions (site sim sid))
+    (function
+      | Server.Unblocked (tid, _) -> (
+          match Hashtbl.find_opt sim.pending_global (sid, tid) with
+          | Some (kind, pc) ->
+              Hashtbl.remove sim.pending_global (sid, tid);
+              end_blocked_span sim (sid, tid) ~outcome:"completed";
+              if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
+              (match kind with
+              | Ser_op -> Ser_schedule.record sim.ser_log sid tid
+              | Direct_op -> ());
+              ack_to_gtm sim tid pc Coord.Done ~extra:(service_at sim sid)
+          | None -> ())
+      | Server.Resumed (tid, _, progress) -> local_progress sim sid tid progress)
+    (Server.drain (server sim sid))
 
 (* Open the dispatch-to-ack span of the global's current step. *)
 let begin_op_span sim gid name attrs =
@@ -406,9 +405,9 @@ let perform sim coord = function
       send_to_site sim sid gid pc action (if ser then Ser_op else Direct_op)
         ~attempt:0
   | Coord.Rollback (gid, sid) | Coord.Resolve (gid, sid, Gtm_log.Abort) ->
-      schedule sim sim.config.latency_ms (Site_abort (sid, gid))
+      schedule sim sim.config.latency_ms (Site_resolve (sid, gid, Op.Abort))
   | Coord.Resolve (gid, sid, Gtm_log.Commit) ->
-      schedule sim sim.config.latency_ms (Recovery_commit (sid, gid))
+      schedule sim sim.config.latency_ms (Site_resolve (sid, gid, Op.Commit))
   | Coord.Log record -> (
       Gtm_log.append sim.gtm_log record;
       let ser_step gid =
@@ -491,115 +490,79 @@ let handle_site_deliver sim sid tid pc action kind =
     | Ser_op -> accept sim tid pc Coord.Done
     | Direct_op -> ack_to_gtm sim tid pc Coord.Done ~extra:0.0
   end
-  else begin
-    let dbms = site sim sid in
-    if sim.faults_enabled && Hashtbl.mem sim.dedup (sid, tid, pc) then
-      (* Redelivery of an executed operation: re-acknowledge the cached
-         outcome; never re-execute, never re-record ser(S). *)
-      ack_to_gtm sim tid pc (Hashtbl.find sim.dedup (sid, tid, pc)) ~extra:0.0
-    else if sim.faults_enabled && Hashtbl.mem sim.pending_global (sid, tid) then
-      (* Redelivery of an operation still blocked here: say so again (the
-         first answer may have been lost); its completion answers Done. *)
-      ack_to_gtm sim tid pc Coord.Blocked ~extra:0.0
-    else if
-      sim.faults_enabled && action = Op.Prepare
-      && List.mem tid (Local_dbms.in_doubt dbms)
-    then begin
-      (* Retried prepare for a transaction already prepared (and carried
-         through a site crash): the vote stands. *)
-      Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
-      ack_to_gtm sim tid pc Coord.Done ~extra:0.0
-    end
-    else if
-      sim.faults_enabled && action <> Op.Begin
-      && not (Local_dbms.is_active dbms tid)
-    then begin
-      (* The restarted site has no memory of this transaction. A Commit
-         (or Abort) for a forgotten transaction must already have been
-         performed — a participant forgets only after completing, and under
-         2PC a commit is only sent once the prepare acknowledgement proved
-         the transaction durable here. Anything else means the
-         subtransaction's work was lost in the crash: vote no. *)
-      match action with
-      | Op.Commit | Op.Abort -> ack_to_gtm sim tid pc Coord.Done ~extra:0.0
-      | _ -> ack_to_gtm sim tid pc (Coord.Refused "site-amnesia") ~extra:0.0
-    end
-    else begin
-      declare_if_needed sim tid sid action;
-      match Local_dbms.submit dbms tid action with
-      | Local_dbms.Executed value ->
-          if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
-          (match action with
-          | Op.Prepare -> note_prepared sim sid tid
-          | Op.Commit | Op.Abort -> resolve_prepared sim sid tid
-          | Op.Ticket_op ->
-              if tracing sim then
-                Sink.instant sim.obs.Obs.sink
-                  ~track:(Sink.txn_track sim.obs.Obs.sink tid)
-                  ~attrs:
-                    [
-                      ("site", string_of_int sid);
-                      ( "value",
-                        match value with Some v -> string_of_int v | None -> "?"
-                      );
-                    ]
-                  "ticket"
-          | Op.Begin | Op.Read _ | Op.Write _ -> ());
-          (match kind with
-          | Ser_op -> Ser_schedule.record sim.ser_log sid tid
-          | Direct_op -> ());
-          ack_to_gtm sim tid pc Coord.Done ~extra:(service_at sim sid);
-          drain_site sim sid
-      | Local_dbms.Waiting ->
-          (* The GTM hears of the wait: it starts the global's wait clock
-             for the victim policy. *)
-          ack_to_gtm sim tid pc Coord.Blocked ~extra:0.0;
-          Hashtbl.replace sim.pending_global (sid, tid) (kind, pc);
-          if tracing sim then
-            Hashtbl.replace sim.blocked_spans (sid, tid)
-              (Sink.begin_span sim.obs.Obs.sink
-                 ~track:(Sink.txn_track sim.obs.Obs.sink tid)
-                 ~attrs:
-                   [
-                     ("site", string_of_int sid);
-                     ("action", Op.action_to_string action);
-                   ]
-                 "site.blocked")
-      | Local_dbms.Aborted reason ->
-          (* A rejected ticket operation is the scheme's serialization
-             conflict — classify it apart from ordinary data conflicts. *)
-          let reason =
-            if action = Op.Ticket_op then "ticket:" ^ reason else reason
-          in
-          if sim.faults_enabled then
-            Hashtbl.replace sim.dedup (sid, tid, pc) (Coord.Refused reason);
-          ack_to_gtm sim tid pc (Coord.Refused reason) ~extra:0.0;
-          drain_site sim sid
-    end
+  else if sim.faults_enabled && Hashtbl.mem sim.dedup (sid, tid, pc) then
+    (* Redelivery of an executed operation: re-acknowledge the cached
+       outcome; never re-execute, never re-record ser(S). *)
+    ack_to_gtm sim tid pc (Hashtbl.find sim.dedup (sid, tid, pc)) ~extra:0.0
+  else if sim.faults_enabled && Hashtbl.mem sim.pending_global (sid, tid) then
+    (* Redelivery of an operation still blocked here: say so again (the
+       first answer may have been lost); its completion answers Done. *)
+    ack_to_gtm sim tid pc Coord.Blocked ~extra:0.0
+  else if
+    sim.faults_enabled && action = Op.Prepare
+    && List.mem tid (Local_dbms.in_doubt (site sim sid))
+  then begin
+    (* Retried prepare for a transaction already prepared (and carried
+       through a site crash): the vote stands. *)
+    Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
+    ack_to_gtm sim tid pc Coord.Done ~extra:0.0
   end
+  else
+    match
+      Server.step (server sim sid) tid
+        ~accesses:(Coord.declaration sim.coord tid sid) action
+    with
+    | { Server.known = false; answer; _ } ->
+        (* The restarted site forgot the transaction and answered without
+           running the step. *)
+        ack_to_gtm sim tid pc answer ~extra:0.0
+    | { Server.answer = Server.Done; value; _ } ->
+        if sim.faults_enabled then Hashtbl.replace sim.dedup (sid, tid, pc) Coord.Done;
+        (match action with
+        | Op.Prepare -> note_prepared sim sid tid
+        | Op.Commit | Op.Abort -> resolve_prepared sim sid tid
+        | Op.Ticket_op ->
+            if tracing sim then
+              Sink.instant sim.obs.Obs.sink
+                ~track:(Sink.txn_track sim.obs.Obs.sink tid)
+                ~attrs:
+                  [
+                    ("site", string_of_int sid);
+                    ( "value",
+                      match value with Some v -> string_of_int v | None -> "?" );
+                  ]
+                "ticket"
+        | Op.Begin | Op.Read _ | Op.Write _ -> ());
+        (match kind with
+        | Ser_op -> Ser_schedule.record sim.ser_log sid tid
+        | Direct_op -> ());
+        ack_to_gtm sim tid pc Coord.Done ~extra:(service_at sim sid);
+        drain_site sim sid
+    | { Server.answer = Server.Blocked; _ } ->
+        (* The GTM hears of the wait: it starts the global's wait clock
+           for the victim policy. *)
+        ack_to_gtm sim tid pc Coord.Blocked ~extra:0.0;
+        Hashtbl.replace sim.pending_global (sid, tid) (kind, pc);
+        if tracing sim then
+          Hashtbl.replace sim.blocked_spans (sid, tid)
+            (Sink.begin_span sim.obs.Obs.sink
+               ~track:(Sink.txn_track sim.obs.Obs.sink tid)
+               ~attrs:
+                 [ ("site", string_of_int sid); ("action", Op.action_to_string action) ]
+               "site.blocked")
+    | { Server.answer = Server.Refused reason; _ } ->
+        (* A rejected ticket operation is the scheme's serialization
+           conflict — classify it apart from ordinary data conflicts. *)
+        let reason = if action = Op.Ticket_op then "ticket:" ^ reason else reason in
+        if sim.faults_enabled then
+          Hashtbl.replace sim.dedup (sid, tid, pc) (Coord.Refused reason);
+        ack_to_gtm sim tid pc (Coord.Refused reason) ~extra:0.0;
+        drain_site sim sid
 
-let handle_local_step sim sid tid actions =
-  match actions with
-  | [] ->
-      sim.committed_local <- sim.committed_local + 1;
-      sim.live_locals <- sim.live_locals - 1;
-      Hashtbl.remove sim.live_local_at tid
-  | action :: rest -> (
-      match Local_dbms.submit (site sim sid) tid action with
-      | Local_dbms.Executed _ ->
-          if rest = [] then begin
-            sim.committed_local <- sim.committed_local + 1;
-            sim.live_locals <- sim.live_locals - 1;
-            Hashtbl.remove sim.live_local_at tid
-          end
-          else schedule sim (service_at sim sid) (Local_step (sid, tid, rest));
-          drain_site sim sid
-      | Local_dbms.Waiting -> Hashtbl.replace sim.local_cont tid (sid, rest, sim.clock)
-      | Local_dbms.Aborted _ ->
-          sim.aborted_local <- sim.aborted_local + 1;
-          sim.live_locals <- sim.live_locals - 1;
-          Hashtbl.remove sim.live_local_at tid;
-          drain_site sim sid)
+let handle_local_step sim sid tid =
+  let progress = snd (Server.local_step (server sim sid) tid) in
+  local_progress sim sid tid progress;
+  if progress <> Server.Parked then drain_site sim sid
 
 (* --- fault application ------------------------------------------------- *)
 
@@ -608,43 +571,32 @@ let handle_local_step sim sid tid actions =
    transactions survive in doubt. The GTM treats every transaction that had
    reached the site without preparing there as aborted by the crash. *)
 let apply_site_crash sim sid =
-  sim.site_crashes <- sim.site_crashes + 1;
-  let dbms = site sim sid in
-  Local_dbms.crash dbms;
-  let stale =
-    Hashtbl.fold
-      (fun ((s, _, _) as key) _ acc -> if s = sid then key :: acc else acc)
-      sim.dedup []
-  in
-  List.iter (Hashtbl.remove sim.dedup) stale;
-  let blocked =
-    Hashtbl.fold
-      (fun ((s, _) as key) _ acc -> if s = sid then key :: acc else acc)
-      sim.pending_global []
-  in
-  List.iter
-    (fun key ->
-      Hashtbl.remove sim.pending_global key;
-      end_blocked_span sim key ~outcome:"site-crash")
-    blocked;
-  (* Local transactions active here died with the site. *)
-  let dead_locals =
-    Hashtbl.fold
-      (fun tid s acc -> if s = sid then tid :: acc else acc)
-      sim.live_local_at []
-  in
-  List.iter
-    (fun tid ->
-      Hashtbl.replace sim.dead_local tid ();
-      Hashtbl.remove sim.live_local_at tid;
-      Hashtbl.remove sim.local_cont tid;
-      sim.aborted_local <- sim.aborted_local + 1;
-      sim.live_locals <- sim.live_locals - 1)
-    (List.sort compare dead_locals);
-  (* Global subtransactions that reached this site without preparing were
-     wiped (including any whose current operation targeted the site — its
-     outcome, if any, is unrecoverable). In-doubt ones survive. *)
-  Coord.site_crash sim.coord sid ~in_doubt:(Local_dbms.in_doubt dbms)
+  match Server.crash (server sim sid) with
+  | None -> () (* no write-ahead log: nothing to crash *)
+  | Some { Server.in_doubt; dead_locals } ->
+      sim.site_crashes <- sim.site_crashes + 1;
+      Hashtbl.filter_map_inplace
+        (fun (s, _, _) answer -> if s = sid then None else Some answer)
+        sim.dedup;
+      let blocked =
+        Hashtbl.fold
+          (fun ((s, _) as key) _ acc -> if s = sid then key :: acc else acc)
+          sim.pending_global []
+      in
+      List.iter
+        (fun key ->
+          Hashtbl.remove sim.pending_global key;
+          end_blocked_span sim key ~outcome:"site-crash")
+        blocked;
+      (* Local transactions active here died with the site. *)
+      let dead = List.length dead_locals in
+      sim.aborted_local <- sim.aborted_local + dead;
+      sim.live_locals <- sim.live_locals - dead;
+      (* Global subtransactions that reached this site without preparing
+         were wiped (including any whose current operation targeted the
+         site — its outcome, if any, is unrecoverable). In-doubt ones
+         survive. *)
+      Coord.site_crash sim.coord sid ~in_doubt
 
 (* Crash and restart the GTM. Volatile state — GTM1 program counters, the
    engine's QUEUE/WAIT, the scheme's structures, in-flight message
@@ -682,27 +634,20 @@ let handle_event sim event =
   match event with
   | Global_arrival attempt -> admit_global sim attempt
   | Local_arrival (sid, txn, _budget) ->
-      let dbms = site sim sid in
-      if Local_dbms.needs_declarations dbms then
-        Local_dbms.declare dbms txn.Txn.id
-          (List.map
-             (fun (item, write) ->
-               (item, if write then Cc_types.Write_mode else Cc_types.Read_mode))
-             (Txn.accesses_at txn sid));
-      Hashtbl.replace sim.live_local_at txn.Txn.id sid;
-      handle_local_step sim sid txn.Txn.id (List.map (fun s -> s.Txn.action) txn.Txn.script)
+      Server.start_local (server sim sid) txn;
+      handle_local_step sim sid txn.Txn.id
   | Site_deliver (sid, tid, pc, action, kind) ->
       handle_site_deliver sim sid tid pc action kind
-  | Site_abort (sid, gid) ->
+  | Site_resolve (sid, gid, action) ->
+      (* Only a rollback can meet a blocked step: no Commit ever blocks. *)
       Hashtbl.remove sim.pending_global (sid, gid);
       end_blocked_span sim (sid, gid) ~outcome:"aborted";
-      if Local_dbms.is_active (site sim sid) gid then
-        ignore (Local_dbms.submit (site sim sid) gid Op.Abort);
+      Server.resolve (server sim sid) gid action;
       resolve_prepared sim sid gid;
       drain_site sim sid
-  | Local_step (sid, tid, actions) ->
-      if not (Hashtbl.mem sim.dead_local tid) then
-        handle_local_step sim sid tid actions
+  | Local_step (sid, tid) ->
+      (* A site crash may have killed it since. *)
+      if Server.is_local (server sim sid) tid then handle_local_step sim sid tid
   | Gtm_ack (gid, pc, answer) -> accept sim gid pc answer
   | Tick ->
       Option.iter
@@ -755,12 +700,6 @@ let handle_event sim event =
             ~attempt:(attempt + 1)
         end
       end
-  | Recovery_commit (sid, gid) ->
-      let dbms = site sim sid in
-      if Local_dbms.is_active dbms gid then
-        ignore (Local_dbms.submit dbms gid Op.Commit);
-      resolve_prepared sim sid gid;
-      drain_site sim sid
 
 (* Single source for the result's scalar fields: the JSON export and the
    metrics snapshot both read this list, so they cannot drift. *)
@@ -812,8 +751,8 @@ let run_scheme config make_scheme =
   in
   let rng = Rng.create config.seed in
   let sites = Workload.make_sites workload in
-  let site_tbl = Hashtbl.create 16 in
-  List.iter (fun s -> Hashtbl.replace site_tbl (Local_dbms.site_id s) s) sites;
+  let servers = Hashtbl.create 16 in
+  List.iter (fun s -> Hashtbl.replace servers (Local_dbms.site_id s) (Server.create s)) sites;
   let first_scheme = make_scheme () in
   let scheme_name = first_scheme.Scheme.name in
   let obs = config.obs in
@@ -827,7 +766,7 @@ let run_scheme config make_scheme =
           ~gtm2:(fun _ -> []) ~perform:(fun _ _ -> ()) ();
       make_scheme;
       gtm_log = Gtm_log.create ();
-      site_tbl;
+      servers;
       heap =
         Binary_heap.create
           ~cmp:(fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2))
@@ -840,12 +779,9 @@ let run_scheme config make_scheme =
       link_rng = Rng.create (config.faults.Fault.link_seed + 1);
       ser_log = Ser_schedule.create ();
       pending_global = Hashtbl.create 32;
-      local_cont = Hashtbl.create 32;
       attempts_live = Hashtbl.create 64;
       dedup = Hashtbl.create 256;
       slow = Hashtbl.create 4;
-      dead_local = Hashtbl.create 16;
-      live_local_at = Hashtbl.create 32;
       committed_global = 0;
       failed_global = 0;
       restarts = 0;

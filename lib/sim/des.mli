@@ -13,29 +13,31 @@
     subtransaction").
 
     The machinery reuses the real components: the coordinator core
-    ({!Mdbs_core.Coord}: GTM1, every per-global rule and the victim policy,
-    shared with the service runtime), the GTM2 engine with any scheme, and
-    the per-site local DBMSs. A site that makes a step wait answers
-    [Blocked] over the same link as any answer; a tick every 5 simulated
-    ms, while globals are live, calls {!Mdbs_core.Coord.tick} with its
-    defaults, and a victim's sites hear the rollback a link latency later.
-    The simulator keeps only its event heap and transport, restart budgets
-    (a restart keeps its first attempt's birth) and spans; it admits every
-    arrival. All randomness is seeded; runs are deterministic.
+    ({!Mdbs_core.Coord}: GTM1, every per-global rule and the victim policy),
+    the site servers ({!Mdbs_site.Server}: every site rule), both shared
+    with the service runtime, and the GTM2 engine with any scheme. A site
+    that makes a step wait answers [Blocked] over the same link as any
+    answer; a tick every 5 simulated ms, while globals are live, calls
+    {!Mdbs_core.Coord.tick} with its defaults, and a victim's sites hear the
+    rollback a link latency later. The simulator keeps only its event heap
+    and transport, service times, restart budgets (a restart keeps its
+    first attempt's birth), spans and the site-side [ser(S)] record; it
+    admits every arrival. All randomness is seeded; runs are
+    deterministic.
 
     {2 Faults}
 
     With a non-empty {!Fault.t} plan in the config, the transport and the
     processes become unreliable: GTM<->site messages may be dropped,
     duplicated or delayed (coin flips from the plan's dedicated seeded
-    stream); sites crash and restart ({!Mdbs_site.Local_dbms.crash} — sites
+    stream); sites crash and restart ({!Mdbs_site.Server.crash} — sites
     are forced durable); the GTM crashes and recovers from its durable
     {!Mdbs_core.Gtm_log}; sites slow down. Operations carry ids (gid x
-    program counter): sites keep a volatile dedup cache and re-acknowledge
-    redelivered operations without re-executing them, and the GTM accepts
-    only the acknowledgement of the operation it is waiting on, so retries
-    — timeout-based, with capped exponential backoff, driven by
-    [retry_timeout_ms]/[max_retries] — are idempotent. A transaction whose
+    program counter): in front of each site server, a volatile dedup cache
+    re-acknowledges redelivered operations without re-executing them, and
+    the GTM accepts only the acknowledgement of the operation it is waiting
+    on, so retries — timeout-based, with capped exponential backoff, driven
+    by [retry_timeout_ms]/[max_retries] — are idempotent. A transaction whose
     retries are exhausted before a commit decision is aborted everywhere; a
     logged Commit decision is never abandoned. With [Fault.none] (the
     default) behaviour is identical to the fault-free simulator. *)

@@ -327,6 +327,8 @@ let submit t tid action =
 
 let in_doubt t = t.in_doubt
 
+let is_durable t = t.wal <> None
+
 let crash t =
   match t.wal with
   | None -> invalid_arg "Local_dbms.crash: site is not durable"

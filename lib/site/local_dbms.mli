@@ -9,7 +9,8 @@
     executes later, when a conflicting transaction releases its locks, and
     surfaces through {!drain_completions}. Certification protocols may answer
     [Aborted]: the transaction's effects at this site have been rolled back
-    and its [Abort] recorded. *)
+    and its [Abort] recorded. Drivers reach it through a site server
+    ({!Server}). *)
 
 open Mdbs_model
 
@@ -90,6 +91,9 @@ val active_count : t -> int
 val has_pending : t -> Types.tid -> bool
 (** Is one of the transaction's operations blocked inside the protocol? *)
 
+val is_durable : t -> bool
+(** Has the site a write-ahead log? *)
+
 val crash : t -> unit
 (** Crash and restart the site (durable sites only; raises
     [Invalid_argument] otherwise). All volatile state dies: active
@@ -130,8 +134,8 @@ val close : t -> unit
 val is_active : t -> Types.tid -> bool
 (** Has the transaction begun here without yet committing/aborting?
     (In-doubt transactions re-installed by {!crash} count as active.) The
-    fault layer uses this to avoid submitting [Abort] for transactions a
-    site crash already rolled back. *)
+    site server ({!Server}) uses this to spot a transaction a crash made
+    it forget. *)
 
 val wal_state : t -> (Item.t * int) list option
 (** The state the write-ahead log predicts a crash would recover

@@ -20,11 +20,6 @@ let append t r =
   t.rev_records <- r :: t.rev_records;
   t.count <- t.count + 1
 
-let of_records rs =
-  let t = create () in
-  List.iter (append t) rs;
-  t
-
 let records t = List.rev t.rev_records
 
 let length t = t.count

@@ -30,10 +30,6 @@ val create : unit -> t
 
 val append : t -> record -> unit
 
-val of_records : record list -> t
-(** A logical log holding the given records — how [mdbs recover] lifts a
-    decoded on-disk log back into {!analyze}/{!recovered_state}. *)
-
 val records : t -> record list
 (** In append order. *)
 

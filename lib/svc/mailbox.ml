@@ -101,12 +101,6 @@ let take t =
   Mutex.unlock t.mutex;
   r
 
-let try_take t =
-  Mutex.lock t.mutex;
-  let r = pop t in
-  Mutex.unlock t.mutex;
-  r
-
 (* Move every element of [q] onto [acc] (reversed). *)
 let flush_rev q acc =
   let r = ref acc in

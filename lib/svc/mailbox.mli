@@ -34,8 +34,6 @@ val take : 'a t -> 'a option
 (** Dequeue, blocking while both lanes are empty. [None] once the mailbox
     is closed {e and} drained. *)
 
-val try_take : 'a t -> 'a option
-
 val drain : 'a t -> 'a list
 (** Dequeue {e everything} under one lock acquisition, blocking while
     both lanes are empty: all urgent messages first, then all normal

@@ -1,18 +1,4 @@
-module Gtm = Mdbs_core.Gtm
-
 type t = Committed | Aborted of string | Shed
-
-let of_status = function
-  | Gtm.Committed -> Committed
-  | Gtm.Aborted reason -> Aborted reason
-  | Gtm.Active -> invalid_arg "Outcome.of_status: Active is not final"
-
-let to_status = function
-  | Committed -> Gtm.Committed
-  | Aborted reason -> Gtm.Aborted reason
-  | Shed -> Gtm.Aborted "shed"
-
-let is_committed = function Committed -> true | Aborted _ | Shed -> false
 
 let to_string = function
   | Committed -> "committed"

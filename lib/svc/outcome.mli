@@ -14,12 +14,4 @@ type t =
       (** Refused at admission (overload): no per-site state was ever
           acquired, nothing appears in the trace. Back off before retrying. *)
 
-val of_status : Mdbs_core.Gtm.status -> t
-(** Raises [Invalid_argument] on [Active] (not a final status). *)
-
-val to_status : t -> Mdbs_core.Gtm.status
-(** [Shed] maps to [Aborted "shed"] for paper-level consumers. *)
-
-val is_committed : t -> bool
-
 val to_string : t -> string

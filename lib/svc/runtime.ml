@@ -109,7 +109,7 @@ let abort_cause_names =
 let cause_of_reason = function
   | "wound" -> "wound"
   | "stall-timeout" | "stall-deadline" -> "stall_kill"
-  | "site-crash" -> "crash"
+  | "site-crash" | "site-amnesia" -> "crash"
   | "shutdown" | "duplicate-admission" -> "other"
   | _ -> "scheme_reject"
 
@@ -301,14 +301,10 @@ let telem_flush sh ~now_ms =
 
 let now g = Clock.now_ms g.sh'.clock
 
-(* A step's request id is its program counter, so the core matches the
-   reply; fire-and-forget requests (rollbacks) carry one no step has. *)
-let no_reply = -1
-
-(* Buffer a dispatch on the site's outbox; {!flush_outbox} ships the
+(* Buffer a request on the site's outbox; {!flush_outbox} ships the
    round. Order within a site is preserved end to end: outbox FIFO →
    Batch list order → worker execution order. *)
-let send_exec g ~req ~gid ~sid ~action ~declare =
+let send g sid req =
   let box =
     match Hashtbl.find_opt g.outbox sid with
     | Some q -> q
@@ -318,7 +314,7 @@ let send_exec g ~req ~gid ~sid ~action ~declare =
         q
   in
   if Queue.is_empty box then g.outbox_sites <- sid :: g.outbox_sites;
-  Queue.add (Site_worker.Exec { req; tid = gid; action; declare }) box
+  Queue.add req box
 
 let flush_outbox g =
   let sites = g.outbox_sites in
@@ -385,19 +381,18 @@ let finish_txn g gid outcome =
   | None -> ()
 
 (* Carry out the core's effects: steps and rollbacks go to the sites'
-   outboxes, a finished global settles its promise. The service keeps no
-   coordinator log. *)
+   outboxes, a finished global settles its promise. A step's request id is
+   its program counter, so the core matches the answer. The service keeps
+   no coordinator log. *)
 let perform g coord = function
   | Coord.Run { gid; pc; site = sid; action; ser = _ } ->
-      (* The worker predeclares it if its site needs it. *)
-      let declare =
-        if action = Op.Begin then Some (Coord.declaration coord gid sid) else None
-      in
-      send_exec g ~req:pc ~gid ~sid ~action ~declare
+      send g sid
+        (Site_worker.Exec
+           { req = pc; tid = gid; action; accesses = Coord.declaration coord gid sid })
   | Coord.Rollback (gid, sid) | Coord.Resolve (gid, sid, Mdbs_core.Gtm_log.Abort) ->
-      send_exec g ~req:no_reply ~gid ~sid ~action:Op.Abort ~declare:None
+      send g sid (Site_worker.Resolve { tid = gid; action = Op.Abort })
   | Coord.Resolve (gid, sid, Mdbs_core.Gtm_log.Commit) ->
-      send_exec g ~req:no_reply ~gid ~sid ~action:Op.Commit ~declare:None
+      send g sid (Site_worker.Resolve { tid = gid; action = Op.Commit })
   | Coord.Log _ -> ()
   | Coord.Finish { gid; outcome; recovered = _ } -> finish_txn g gid outcome
 
@@ -474,13 +469,11 @@ let answer g gid ?pc ?now r =
   | Some _ | None -> ()
 
 let handle_reply g = function
-  | Site_worker.Executed { req; sid = _; tid } -> answer g tid ~pc:req Coord.Done
-  | Site_worker.Waiting { req; sid = _; tid } ->
+  | Site_worker.Answer { req; tid; answer = Coord.Blocked } ->
       (* The stamp starts the global's wait clock. *)
       answer g tid ~pc:req ~now:(now g) Coord.Blocked
-  | Site_worker.Refused { req; sid = _; tid; reason } ->
-      answer g tid ~pc:req (Coord.Refused reason)
-  | Site_worker.Unblocked { sid = _; tid; action = _ } -> answer g tid Coord.Done
+  | Site_worker.Answer { req; tid; answer = r } -> answer g tid ~pc:req r
+  | Site_worker.Unblocked { tid } -> answer g tid Coord.Done
   | Site_worker.Crashed { sid; in_doubt } ->
       Atomic.incr g.sh'.a_crashes;
       with_sink g (fun sink ->

@@ -219,10 +219,11 @@ val submit_local : t -> Txn.t -> Outcome.t Promise.t
     GTM (the paper's pre-existing local applications). *)
 
 val crash_site : t -> Types.sid -> unit
-(** Inject a site crash (durable sites; a no-op fault otherwise): volatile
-    state dies, storage recovers from the WAL, the GTM aborts every global
-    transaction whose subtransaction died with it — in-doubt participants
-    are resolved by the GTM's decision record. *)
+(** Inject a site crash ({!Mdbs_site.Server.crash}): volatile state dies,
+    the site's local transactions with it, storage recovers from the WAL,
+    and the GTM aborts every global transaction whose subtransaction died
+    — in-doubt participants are resolved by the GTM's decision record. A
+    site without a WAL ignores it: nothing dies, no crash is counted. *)
 
 val stats : t -> stats
 (** Readable from any thread while the runtime runs. *)

@@ -1,28 +1,23 @@
 open Mdbs_model
 module Local_dbms = Mdbs_site.Local_dbms
+module Server = Mdbs_site.Server
 
 type request =
   | Exec of {
       req : int;
       tid : Types.tid;
       action : Op.action;
-      declare : (Item.t * Mdbs_lcc.Cc_types.mode) list option;
+      accesses : (Item.t * bool) list;
     }
+  | Resolve of { tid : Types.tid; action : Op.action }
   | Batch of request list
   | Run_local of { txn : Txn.t; promise : Outcome.t Promise.t }
   | Crash
   | Stop
 
 type reply =
-  | Executed of { req : int; sid : Types.sid; tid : Types.tid }
-  | Waiting of { req : int; sid : Types.sid; tid : Types.tid }
-  | Refused of {
-      req : int;
-      sid : Types.sid;
-      tid : Types.tid;
-      reason : string;
-    }
-  | Unblocked of { sid : Types.sid; tid : Types.tid; action : Op.action }
+  | Answer of { req : int; tid : Types.tid; answer : Server.answer }
+  | Unblocked of { tid : Types.tid }
   | Crashed of { sid : Types.sid; in_doubt : Types.tid list }
 
 type t = {
@@ -39,93 +34,75 @@ type t = {
    broadcast after the batch's group-commit fsync, so an acknowledged
    commit is a durable one even for the direct Run_local path. *)
 type state = {
-  dbms : Local_dbms.t;
+  srv : Server.t;
   out : reply list ref;
   settled : (Outcome.t Promise.t * Outcome.t) list ref;
   observe : Types.tid -> Op.action -> string -> unit;
   on_done : Types.tid -> unit;
-  local_cont : (Types.tid, Op.action list * Outcome.t Promise.t) Hashtbl.t;
+  clients : (Types.tid, Outcome.t Promise.t) Hashtbl.t; (* live locals *)
 }
 
 let emit st r = st.out := r :: !(st.out)
 
-let settle_later st promise outcome =
-  st.settled := (promise, outcome) :: !(st.settled)
-
-let outcome_label = function
-  | Local_dbms.Executed _ -> "executed"
-  | Local_dbms.Waiting -> "waiting"
-  | Local_dbms.Aborted _ -> "aborted"
-
-(* Run a local transaction's remaining actions; park the continuation on
-   the first [Waiting] (the completion drain resumes it), buffer the
-   terminal outcome on commit/abort — the client only learns it after
-   the batch's fsync. *)
-let rec run_local_actions st tid actions promise =
-  match actions with
-  | [] ->
-      (* Terminal: the txn's last op (its [Commit]) was already recorded —
-         and tapped — by the preceding [submit], so the [End] the certifier
-         needs lands after it. *)
+(* A local transaction ended here: the certifier's [End] lands after its
+   final schedule entry, and the client learns the outcome only after the
+   batch's fsync. *)
+let end_local st tid outcome =
+  match Hashtbl.find_opt st.clients tid with
+  | Some promise ->
+      Hashtbl.remove st.clients tid;
       st.on_done tid;
-      settle_later st promise Outcome.Committed
-  | action :: rest -> (
-      match Local_dbms.submit st.dbms tid action with
-      | Local_dbms.Executed _ ->
-          st.observe tid action "executed";
-          run_local_actions st tid rest promise
-      | Local_dbms.Waiting ->
-          st.observe tid action "waiting";
-          Hashtbl.replace st.local_cont tid (rest, promise)
-      | Local_dbms.Aborted reason ->
-          st.observe tid action "aborted";
-          st.on_done tid;
-          settle_later st promise (Outcome.Aborted reason))
+      st.settled := (promise, outcome) :: !(st.settled)
+  | None -> ()
+
+(* Run a local transaction until it parks (the drain resumes it) or
+   ends. *)
+let rec advance_local st tid = function
+  | Server.Ready ->
+      let action, progress = Server.local_step st.srv tid in
+      st.observe tid action
+        (match progress with
+        | Server.Ready | Server.Committed -> "executed"
+        | Server.Parked -> "waiting"
+        | Server.Aborted _ -> "aborted");
+      advance_local st tid progress
+  | Server.Parked -> ()
+  | Server.Committed -> end_local st tid Outcome.Committed
+  | Server.Aborted reason -> end_local st tid (Outcome.Aborted reason)
 
 (* Lock releases only happen at this site, and this worker serializes all
-   of the site's operations, so draining after every request catches every
-   unblocked waiter. *)
-let drain st =
-  List.iter
-    (fun (c : Local_dbms.completion) ->
-      let tid = c.Local_dbms.tid in
-      st.observe tid c.Local_dbms.action "unblocked";
-      match Hashtbl.find_opt st.local_cont tid with
-      | Some (rest, promise) ->
-          Hashtbl.remove st.local_cont tid;
-          run_local_actions st tid rest promise
-      | None ->
-          emit st
-            (Unblocked
-               {
-                 sid = Local_dbms.site_id st.dbms;
-                 tid;
-                 action = c.Local_dbms.action;
-               }))
-    (Local_dbms.drain_completions st.dbms)
+   of the site's operations, so draining after every request — until a
+   resumed local releases nothing more — catches every unblocked waiter. *)
+let rec drain st =
+  match Server.drain st.srv with
+  | [] -> ()
+  | completions ->
+      List.iter
+        (function
+          | Server.Unblocked (tid, action) ->
+              st.observe tid action "unblocked";
+              emit st (Unblocked { tid })
+          | Server.Resumed (tid, action, progress) ->
+              st.observe tid action "unblocked";
+              advance_local st tid progress)
+        completions;
+      drain st
 
 let rec handle st = function
-  | Exec { req; tid; action; declare } ->
-      let sid = Local_dbms.site_id st.dbms in
-      (match
-         (match declare with
-         | Some accesses when Local_dbms.needs_declarations st.dbms ->
-             Local_dbms.declare st.dbms tid accesses
-         | _ -> ());
-         Local_dbms.submit st.dbms tid action
-       with
-      | outcome ->
-          st.observe tid action (outcome_label outcome);
-          emit st
-            (match outcome with
-            | Local_dbms.Executed _ -> Executed { req; sid; tid }
-            | Local_dbms.Waiting -> Waiting { req; sid; tid }
-            | Local_dbms.Aborted reason -> Refused { req; sid; tid; reason })
-      | exception e ->
-          (* E.g. an operation for a transaction a crash wiped out: the
-             restarted site no longer knows the tid. Report, don't die. *)
-          st.observe tid action "refused";
-          emit st (Refused { req; sid; tid; reason = Printexc.to_string e }));
+  | Exec { req; tid; action; accesses } ->
+      let answer, label =
+        match (Server.step st.srv tid ~accesses action).Server.answer with
+        | Server.Done -> (Server.Done, "executed")
+        | Server.Blocked -> (Server.Blocked, "waiting")
+        | Server.Refused _ as refused -> (refused, "aborted")
+        | exception e -> (Server.Refused (Printexc.to_string e), "refused")
+      in
+      st.observe tid action label;
+      emit st (Answer { req; tid; answer });
+      drain st
+  | Resolve { tid; action } ->
+      Server.resolve st.srv tid action;
+      st.observe tid action "resolved";
       drain st
   | Batch reqs ->
       (* One mailbox message carrying a whole dispatch round for this
@@ -134,38 +111,20 @@ let rec handle st = function
       List.iter (handle st) reqs
   | Run_local { txn; promise } ->
       let tid = txn.Txn.id in
-      (if Local_dbms.needs_declarations st.dbms then
-         let accesses =
-           List.map
-             (fun (item, write) ->
-               ( item,
-                 if write then Mdbs_lcc.Cc_types.Write_mode
-                 else Mdbs_lcc.Cc_types.Read_mode ))
-             (Txn.accesses_at txn (Local_dbms.site_id st.dbms))
-         in
-         Local_dbms.declare st.dbms tid accesses);
-      let actions = List.map (fun s -> s.Txn.action) txn.Txn.script in
-      (match run_local_actions st tid actions promise with
+      Hashtbl.replace st.clients tid promise;
+      (match
+         Server.start_local st.srv txn;
+         advance_local st tid Server.Ready
+       with
       | () -> ()
-      | exception e ->
-          st.on_done tid;
-          settle_later st promise (Outcome.Aborted (Printexc.to_string e)));
+      | exception e -> end_local st tid (Outcome.Aborted (Printexc.to_string e)));
       drain st
-  | Crash ->
-      (* Parked local continuations die with the site's volatile state. *)
-      Hashtbl.iter
-        (fun tid (_, promise) ->
-          st.on_done tid;
-          settle_later st promise (Outcome.Aborted "site-crash"))
-        st.local_cont;
-      Hashtbl.reset st.local_cont;
-      let sid = Local_dbms.site_id st.dbms in
-      (match Local_dbms.crash st.dbms with
-      | () -> emit st (Crashed { sid; in_doubt = Local_dbms.in_doubt st.dbms })
-      | exception Invalid_argument _ ->
-          (* Non-durable site: a crash would lose storage with no WAL to
-             rebuild from; treat as a no-op fault. *)
-          emit st (Crashed { sid; in_doubt = [] }))
+  | Crash -> (
+      match Server.crash st.srv with
+      | None -> () (* no write-ahead log: a no-op fault *)
+      | Some { Server.in_doubt; dead_locals } ->
+          List.iter (fun tid -> end_local st tid (Outcome.Aborted "site-crash")) dead_locals;
+          emit st (Crashed { sid = Server.sid st.srv; in_doubt }))
   | Stop -> ()
 
 let count_of = function Batch reqs -> List.length reqs | _ -> 1
@@ -173,12 +132,12 @@ let count_of = function Batch reqs -> List.length reqs | _ -> 1
 let worker_loop box handled reply observe on_done dbms =
   let st =
     {
-      dbms;
+      srv = Server.create dbms;
       out = ref [];
       settled = ref [];
       observe;
       on_done;
-      local_cont = Hashtbl.create 16;
+      clients = Hashtbl.create 16;
     }
   in
   (* Runs only after [sync_durable]: nothing a client can observe — a
@@ -197,12 +156,12 @@ let worker_loop box handled reply observe on_done dbms =
         reply rs
   in
   let settle () =
-    (* Abandon parked continuations (shutdown): settle their clients. *)
+    (* Abandon parked locals (shutdown): settle their clients. *)
     Hashtbl.iter
-      (fun tid (_, promise) ->
+      (fun tid promise ->
         st.on_done tid;
         Promise.fulfill promise (Outcome.Aborted "shutdown"))
-      st.local_cont
+      st.clients
   in
   (* Returns [true] when Stop terminates the batch. *)
   let rec process = function
@@ -225,7 +184,7 @@ let worker_loop box handled reply observe on_done dbms =
            in this batch — and it lands before their replies ship or
            their clients' promises broadcast, so an acknowledged outcome
            is a durable one. No-op for `Mem. *)
-        Local_dbms.sync_durable st.dbms;
+        Local_dbms.sync_durable dbms;
         (* One urgent reply message per wakeup, however many requests the
            drain carried. *)
         flush ();

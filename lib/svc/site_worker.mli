@@ -1,37 +1,40 @@
 (** One worker domain per local site (Figure 1's server + local DBMS).
 
-    The worker owns its {!Mdbs_site.Local_dbms.t} exclusively — the local
-    DBMS code is unchanged and single-threaded, exactly as the paper's
-    autonomy assumption demands — and drains an unbounded mailbox of
-    requests: operations of global subtransactions dispatched by the GTM
-    domain ({!Exec}), whole local transactions submitted directly by
-    clients ({!Run_local}, bypassing the GTM as pre-existing local
-    applications do), fault injection ({!Crash}) and shutdown ({!Stop}).
-
-    Replies flow back to the GTM through the [reply] callback (which posts
-    into the GTM inbox's urgent lane, so a worker can never deadlock
-    against a full admission queue). Blocking protocols answer [Waiting];
-    when the blocked operation later executes, the worker surfaces it as
-    {!Unblocked} from the completion drain that follows every request.
+    The worker owns its {!Mdbs_site.Local_dbms.t} exclusively, as the
+    paper's autonomy assumption demands, and applies every request through
+    the site's server ({!Mdbs_site.Server}), whose rules {!Mdbs_core.Gtm}
+    and the simulator share. It keeps the transport: its domain and an
+    unbounded mailbox of global steps ({!Exec}), rollbacks ({!Resolve}),
+    local transactions ({!Run_local}, bypassing the GTM as pre-existing
+    local applications do), fault injection ({!Crash}) and shutdown
+    ({!Stop}). Replies go to the GTM through the [reply] callback (the GTM
+    inbox's urgent lane, so a worker never deadlocks against a full
+    admission queue); a step answered [Blocked] surfaces as {!Unblocked}
+    from the completion drain that follows every request.
 
     The worker is batch-pipelined: each wakeup drains its whole mailbox
     ({!Mailbox.drain}), executes every request in arrival order — a
     {!Batch} carries one GTM dispatch round in dispatch order, so
     per-site execution order still equals GTM dispatch order, the
-    capture-faithfulness invariant the certifier relies on — and ships
-    all resulting replies as {e one} coalesced [reply] callback per
-    wakeup instead of one message per operation. *)
+    capture-faithfulness invariant the certifier relies on — makes the
+    batch durable with one group-commit fsync, and only then ships all
+    resulting replies as {e one} coalesced [reply] callback and settles
+    local clients' promises. *)
 
 open Mdbs_model
 
 type request =
   | Exec of {
-      req : int;  (** Correlation id, echoed in the reply. *)
+      req : int;  (** Correlation id, echoed in the answer. *)
       tid : Types.tid;
       action : Op.action;
-      declare : (Item.t * Mdbs_lcc.Cc_types.mode) list option;
-          (** Predeclared lock set, for conservative-2PL sites. *)
+      accesses : (Item.t * bool) list;
+          (** The global's access set here, predeclared before its
+              [Begin] where the protocol needs it. *)
     }
+  | Resolve of { tid : Types.tid; action : Op.action }
+      (** Roll back ([Abort]) or complete ([Commit]) the global's
+          subtransaction if it is still active here. No reply. *)
   | Batch of request list
       (** One dispatch round for this site, in GTM dispatch order; the
           worker executes it in list order (per-site pipelining without
@@ -40,23 +43,18 @@ type request =
       txn : Txn.t;
       promise : Outcome.t Promise.t;
     }
-  | Crash  (** {!Mdbs_site.Local_dbms.crash}: durable sites only. *)
+  | Crash
+      (** {!Mdbs_site.Server.crash}; a site without a write-ahead log
+          ignores it and sends no {!Crashed}. *)
   | Stop  (** Finish the queue and exit the domain. *)
 
 type reply =
-  | Executed of { req : int; sid : Types.sid; tid : Types.tid }
-  | Waiting of { req : int; sid : Types.sid; tid : Types.tid }
-  | Refused of {
-      req : int;
-      sid : Types.sid;
-      tid : Types.tid;
-      reason : string;
-    }
-      (** The protocol aborted the (sub)transaction at this site, or the
-          operation was invalid after a crash wiped the site's state. *)
-  | Unblocked of { sid : Types.sid; tid : Types.tid; action : Op.action }
-      (** A previously [Waiting] operation of a {e global} transaction has
-          now executed. *)
+  | Answer of { req : int; tid : Types.tid; answer : Mdbs_site.Server.answer }
+      (** The site server's answer to an {!Exec}; [Refused] also carries
+          the text of an exception the step raised. *)
+  | Unblocked of { tid : Types.tid }
+      (** A step of a global that was answered [Blocked] has now
+          executed. *)
   | Crashed of { sid : Types.sid; in_doubt : Types.tid list }
 
 type t

@@ -790,6 +790,105 @@ let site_crash_graceful () =
   check_int "no violations" 0 (Analysis.errors res.Runtime.analysis);
   check_bool "certified" true res.Runtime.certified
 
+(* The crash races below run two 2PL sites under Scheme 3 and the default
+   batch certifier, which installs no op tap of its own. Their deadline
+   outlasts the longest hold, 0.3 s, so no stall kill interferes. *)
+let crash_race_runtime ~durable =
+  let sites =
+    Workload.make_sites
+      { (wl ~durable 2) with Workload.protocols = [ Types.Two_phase_locking ] }
+  in
+  let start () =
+    Runtime.start
+      (Runtime.config ~scheme:(Registry.make Registry.S3) ~sites
+         ~stall_timeout_ms:1000. ())
+  in
+  (sites, start)
+
+let key k = Item.Key k
+
+(* A step that reaches a restarted site behind its crash names a global
+   the site has forgotten. Run as a fresh transaction, it would take a
+   lock that nothing releases: the crash already terminated the global
+   there, so no rollback follows. G's w(x1) is held at site 0 while the
+   crash is queued behind it; the crash's Abort for G then waits 50 ms,
+   so the GTM dispatches G's w(x2) behind the crash. *)
+let forgotten_step_refused () =
+  let sites, start = crash_race_runtime ~durable:true in
+  let g =
+    Txn.global ~id:1
+      [ (0, [ Op.Write (key 1, 1); Op.Write (key 2, 1) ]); (1, [ Op.Read (key 3) ]) ]
+  in
+  let held = Atomic.make false and release = Atomic.make false in
+  Local_dbms.set_op_tap (List.nth sites 0) (fun t action ->
+      if t = g.Txn.id then
+        match action with
+        | Op.Write (Item.Key 1, _) ->
+            Atomic.set held true;
+            while not (Atomic.get release) do
+              Unix.sleepf 0.001
+            done
+        | Op.Abort -> Unix.sleepf 0.05
+        | _ -> ());
+  let rt = start () in
+  let p_g = Runtime.submit_global rt g in
+  wait_for release "the held write" (fun () -> Atomic.get held);
+  Runtime.crash_site rt 0;
+  Atomic.set release true;
+  let out_g = Promise.await p_g in
+  let out_g2 =
+    Promise.await
+      (Runtime.submit_global rt
+         (Txn.global ~id:2 [ (0, [ Op.Write (key 2, 1) ]); (1, [ Op.Read (key 3) ]) ]))
+  in
+  let res = Runtime.shutdown rt in
+  check_bool "G aborted by the crash" true (out_g = Outcome.Aborted "site-crash");
+  check_bool "G2 committed" true (out_g2 = Outcome.Committed);
+  let of_g (e : Mdbs_model.Schedule.entry) = e.tid = g.Txn.id in
+  let rec after_abort = function
+    | [] -> []
+    | e :: rest when of_g e && e.action = Op.Abort -> rest
+    | _ :: rest -> after_abort rest
+  in
+  check_int "no step of G at site 0 after its crash abort" 0
+    (List.length
+       (List.filter of_g
+          (after_abort
+             (Mdbs_model.Schedule.entries (Local_dbms.schedule (List.nth sites 0))))));
+  check_bool "certified" true res.Runtime.certified
+
+(* A crash of a site without a write-ahead log is a no-op fault: nothing
+   dies there, so the GTM must not hear of a crash either. Were G1
+   killed, its subtransaction at site 0 would keep x1's lock, since the
+   crash would count as its rollback there. Site 1 holds G1's Begin while
+   site 0 is crashed. *)
+let volatile_crash_noop () =
+  let sites, start = crash_race_runtime ~durable:false in
+  let g1 = Txn.global ~id:1 [ (0, [ Op.Write (key 1, 1) ]); (1, [ Op.Write (key 2, 1) ]) ] in
+  let held = Atomic.make false in
+  Local_dbms.set_op_tap (List.nth sites 1) (fun t action ->
+      if t = g1.Txn.id && action = Op.Begin then begin
+        Atomic.set held true;
+        Unix.sleepf 0.3
+      end);
+  let rt = start () in
+  let p1 = Runtime.submit_global rt g1 in
+  wait_for (Atomic.make false) "the held Begin" (fun () -> Atomic.get held);
+  Runtime.crash_site rt 0;
+  let out1 = Promise.await p1 in
+  let out2 =
+    Promise.await
+      (Runtime.submit_global rt
+         (Txn.global ~id:2 [ (0, [ Op.Write (key 1, 1) ]); (1, [ Op.Read (key 3) ]) ]))
+  in
+  let res = Runtime.shutdown rt in
+  check_bool "G1 committed" true (out1 = Outcome.Committed);
+  check_bool "G2 committed" true (out2 = Outcome.Committed);
+  check_int "no crash counted" 0 res.Runtime.run_stats.Runtime.site_crashes;
+  check_bool "G1 not active at site 0" false
+    (Local_dbms.is_active (List.nth sites 0) g1.Txn.id);
+  check_bool "certified" true res.Runtime.certified
+
 (* ------------------------------------- live streaming certification *)
 
 (* Differential oracle across seeds: the loadgen with the streaming
@@ -968,7 +1067,11 @@ let () =
                  (Printf.sprintf "shard-differential-seed-%d" seed)
                  `Quick (throttle_differential seed)) );
       ( "faults",
-        [ Alcotest.test_case "site-crash" `Quick site_crash_graceful ] );
+        [
+          Alcotest.test_case "site-crash" `Quick site_crash_graceful;
+          Alcotest.test_case "forgotten-step-refused" `Quick forgotten_step_refused;
+          Alcotest.test_case "volatile-crash-noop" `Quick volatile_crash_noop;
+        ] );
       ( "live-cert",
         Alcotest.test_case "soak-bounded" `Quick live_soak_bounded
         :: Alcotest.test_case "crash" `Quick live_survives_crash
