@@ -128,7 +128,7 @@ let wound_waiters n =
       {
         Mdbs_core.Wound.w_gid = i + 1;
         w_birth = i + 1;
-        w_site = i mod 8;
+        w_at = Mdbs_core.Wound.Site (i mod 8);
         w_since = float_of_int (i mod 50);
         w_wounded = [];
       })

@@ -33,8 +33,12 @@ type global = {
       (* sites where the subtransaction was rolled back or the site
          terminated it: no rollback is fired there again *)
   mutable blocked_at : float; (* when a site answered Blocked for this step *)
-  mutable wounded : int list; (* births this global wounded in that wait *)
+  mutable wounded : int list; (* births this global wounded in this wait *)
 }
+
+(* A serialization operation parked in GTM2: its site, and the tick that
+   first saw it there. *)
+type park = { site : Types.sid; mutable since : float option }
 
 type t = {
   gtm1 : Gtm1.t;
@@ -44,16 +48,17 @@ type t = {
   perform : t -> effect_ -> unit;
   globals : (Types.gid, global) Hashtbl.t;
   blocked : (Types.gid, Types.sid) Hashtbl.t;
+  parked : (Types.gid, park) Hashtbl.t;
   pending : Queue_op.t Queue.t; (* GTM2 operations for the next round *)
   wound_ms : float;
   deadline_ms : float;
-  wait_set : unit -> Types.gid list;
+  blockers : Queue_op.t -> Types.gid list;
   mutable progressed : bool; (* something moved since the last tick *)
   mutable last_progress : float; (* the tick that saw it *)
 }
 
 let create ?(wound_after_ms = default_wound_ms)
-    ?(deadline_ms = default_deadline_ms) ?(wait_set = fun () -> []) ~atomic
+    ?(deadline_ms = default_deadline_ms) ?(blockers = fun _ -> []) ~atomic
     ~protocol_of ~gtm2 ~perform () =
   {
     gtm1 = Gtm1.create ();
@@ -63,10 +68,11 @@ let create ?(wound_after_ms = default_wound_ms)
     perform;
     globals = Hashtbl.create 64;
     blocked = Hashtbl.create 16;
+    parked = Hashtbl.create 16;
     pending = Queue.create ();
     wound_ms = wound_after_ms;
     deadline_ms;
-    wait_set;
+    blockers;
     progressed = false;
     last_progress = 0.;
   }
@@ -223,6 +229,9 @@ let rec drive t gid =
   | Gtm1.Dispatch_ser sid ->
       emit t (Log (Gtm_log.Dispatched (gid, Gtm1.pc t.gtm1 gid)));
       Gtm1.note_dispatched t.gtm1 gid;
+      (* Parked until GTM2 submits it; a new wait wounds afresh. *)
+      Hashtbl.replace t.parked gid { site = sid; since = None };
+      (Hashtbl.find t.globals gid).wounded <- [];
       enqueue t (Queue_op.Ser (gid, sid));
       true
   | Gtm1.Dispatch_direct step ->
@@ -241,6 +250,7 @@ let rec drive t gid =
 
 let gtm2_effect t = function
   | Scheme.Submit_ser (gid, sid) ->
+      Hashtbl.remove t.parked gid;
       if Gtm1.is_dead t.gtm1 gid then enqueue t (Queue_op.Ack (gid, sid))
       else begin
         let step = step_of t gid in
@@ -258,6 +268,7 @@ let gtm2_effect t = function
   | Scheme.Abort_global gid ->
       (* A non-conservative scheme refused the serialization operation
          before it reached its site. *)
+      Hashtbl.remove t.parked gid;
       ignore (mark_dead t gid "gtm2-abort" ~terminated_at:None);
       if is_known t gid then ack t gid
 
@@ -339,42 +350,49 @@ let candidates t tbl f =
     tbl []
 
 (* Safety valve: nothing moved for the deadline and no waiter is past a
-   window (e.g. everything waits inside GTM2). Prefer the youngest global
-   the scheme itself delays: its fake acks unwedge the scheme. The WAIT set
-   can hold a finished gid (Scheme 3 parks a [Fin]), which is no victim. *)
+   window. A step out at a site will be answered, so killing its global
+   frees nothing; only GTM2 delays for good. Kill the youngest parked
+   global, whose fake acks unwedge the scheme, and no one when nothing is
+   parked. *)
 let valve t ~now =
-  let youngest gids =
-    List.fold_left
-      (fun best gid ->
-        let birth g = (Hashtbl.find t.globals g).birth in
-        match best with
-        | Some b when Wound.older (birth gid) gid (birth b) b -> best
-        | Some _ | None -> Some gid)
-      None (List.filter (killable t) gids)
-  in
-  if Hashtbl.length t.globals = 0 || now -. t.last_progress <= t.deadline_ms
-  then None
+  if now -. t.last_progress <= t.deadline_ms then None
   else
-    let victim =
-      match youngest (t.wait_set ()) with
-      | None -> youngest (Gtm1.active t.gtm1)
-      | parked -> parked
-    in
-    Option.map
-      (fun victim -> { victim; reason = "stall-timeout"; wounder = None })
-      victim
+    match candidates t t.parked (fun gid g _ -> (g.birth, gid)) with
+    | [] -> None
+    | first :: rest ->
+        let _, victim =
+          List.fold_left
+            (fun (b, g) (b', g') -> if Wound.older b g b' g' then (b', g') else (b, g))
+            first rest
+        in
+        Some { victim; reason = "stall-timeout"; wounder = None }
 
-(* One decision per tick. Only when some waiter aged into the wound window
-   does the tick pay for the resident sweep. *)
+(* One decision per tick. The first tick that sees a parked operation
+   stamps its wait. Only when some waiter aged into the wound window does
+   the tick pay for the resident sweep, and only a parked waiter past its
+   window asks GTM2 for its blockers. *)
 let tick t ~now =
   if t.progressed then begin
     t.progressed <- false;
     t.last_progress <- now
   end;
+  Hashtbl.iter (fun _ p -> if p.since = None then p.since <- Some now) t.parked;
+  let waiter gid g w_at w_since =
+    { Wound.w_gid = gid; w_birth = g.birth; w_at; w_since; w_wounded = g.wounded }
+  in
+  (* A parked waiter's victims are the blockers its scheme names that are
+     themselves blocked at a site: one merely slow, in flight or parked,
+     is no sign of a cycle, and wounding it early fed wound storms. *)
+  let site_blocked_blockers gid sid =
+    lazy
+      (List.filter (Hashtbl.mem t.blocked) (t.blockers (Queue_op.Ser (gid, sid))))
+  in
   let waiters =
-    candidates t t.blocked (fun gid g sid ->
-        { Wound.w_gid = gid; w_birth = g.birth; w_site = sid;
-          w_since = g.blocked_at; w_wounded = g.wounded })
+    candidates t t.blocked (fun gid g sid -> waiter gid g (Wound.Site sid) g.blocked_at)
+    @ candidates t t.parked (fun gid g p ->
+          waiter gid g
+            (Wound.Gtm2 (site_blocked_blockers gid p.site))
+            (Option.value p.since ~default:now))
   in
   let verdict =
     if Wound.quiet ~now ~wound_after_ms:t.wound_ms ~waiters then valve t ~now

@@ -33,7 +33,12 @@
     - [Fin] and the final outcome;
     - site crashes and presumed-abort recovery from the log;
     - the victim policy for the cross-site deadlocks no site sees (§3),
-      whose per-global state goes with the global at [Finish]. *)
+      whose per-global state goes with the global at [Finish]. Its waiters
+      are the globals blocked at a site and those whose serialization
+      operation is parked in GTM2 (from when the core queues the [Ser]
+      until GTM2 submits it, or acknowledges it for a dead global);
+      the scheme names a parked operation's blockers through [create
+      ?blockers]. *)
 
 open Mdbs_model
 
@@ -72,7 +77,7 @@ val default_deadline_ms : float
 val create :
   ?wound_after_ms:float ->
   ?deadline_ms:float ->
-  ?wait_set:(unit -> Types.gid list) ->
+  ?blockers:(Queue_op.t -> Types.gid list) ->
   atomic:bool ->
   protocol_of:(Types.sid -> Types.protocol_kind) ->
   gtm2:(Queue_op.t list -> Scheme.effect_ list) ->
@@ -82,8 +87,10 @@ val create :
 (** [~atomic]: two-phase commit. [protocol_of] gives each site's protocol,
     which fixes the serialization operation GTM1 routes through GTM2
     ({!Ser_fun}). [perform] carries out each effect as it is produced; it
-    may feed a reply back synchronously. [wait_set] (default: empty) gives
-    the globals in GTM2's WAIT set; only the safety valve calls it. *)
+    may feed a reply back synchronously. [blockers] (default: none) gives
+    the globals a parked serialization operation waits for, as the GTM2
+    scheme names them ({!Scheme.t}[.blockers]); {!tick} asks it only for
+    an operation parked past the wound window. *)
 
 (** {2 Inputs} *)
 
@@ -122,11 +129,17 @@ type victim = {
 val tick : t -> now:float -> victim option
 (** The victim policy, for a timed driver to call every
     {!default_tick_ms}: kill at most one global that is alive and not
-    commit-decided, and return it. [wound] and [stall-deadline] are
-    the verdicts of {!Wound} over the site-blocked globals; otherwise,
-    if nothing moved for the deadline, [stall-timeout] kills the youngest
-    global in [wait_set], or else the youngest candidate. Progress is
-    stamped with the [now] of the tick that first sees it. *)
+    commit-decided, and return it. [wound] and [stall-deadline] are the
+    verdicts of {!Wound} over the waiters: the globals blocked at a site
+    and those whose serialization operation is parked in GTM2. A parked
+    operation wounds the youngest strictly-younger blocker its scheme
+    names that is itself blocked at a site, which breaks the cycle of an
+    older global parked behind a younger one that is blocked at a site
+    behind it. Otherwise, if nothing moved for the deadline,
+    [stall-timeout] kills the youngest parked global, and no one when
+    nothing is parked: a step out at a site will be answered. A parked
+    operation's wait, like progress, is stamped with the [now] of the
+    tick that first sees it. *)
 
 val site_crash : t -> Types.sid -> in_doubt:Types.gid list -> unit
 (** The site restarted: kill every global that had begun there, or whose

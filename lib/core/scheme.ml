@@ -14,6 +14,7 @@ type t = {
   wakeups : Queue_op.t -> wakeup list;
   steps : unit -> int;
   describe : unit -> string;
+  blockers : Queue_op.t -> Types.gid list;
   explain : Queue_op.t -> string;
 }
 

@@ -17,10 +17,11 @@
     instances never interfere and an instance may be created on one domain
     and used on another. A single instance is {e not} internally
     synchronized — the parallel service runtime ({!Mdbs_svc.Gtm_sched})
-    serializes every [cond]/[act]/[wakeups] call behind one mutex, exactly
-    as the DES serializes them behind its event loop. [explain] is
-    side-effect-free and is the one entry point other threads may call (under
-    the same mutex) for stall attribution while the scheduler is running. *)
+    serializes every [cond]/[act]/[wakeups]/[blockers] call behind one
+    mutex, exactly as the DES serializes them behind its event loop.
+    [explain] is side-effect-free and is the one entry point other threads
+    may call (under the same mutex) for stall attribution while the
+    scheduler is running. *)
 
 open Mdbs_model
 
@@ -58,11 +59,21 @@ type t = {
       (** Abstract steps consumed so far by [cond]/[act] — the quantity the
           paper's complexity theorems bound. *)
   describe : unit -> string;  (** One-line dump of DS, for debugging. *)
+  blockers : Queue_op.t -> Types.gid list;
+      (** The globals a parked serialization operation waits for, as DS
+          names them: the site FIFO's head (Scheme 0), the outstanding
+          [ser] or the insert queue's front (Scheme 1), the unacknowledged
+          dependencies (Scheme 2), [ser_bef ∩ set_k] plus an unacknowledged
+          [last_k] (Scheme 3); [[]] for the baselines, for every other
+          operation and when [cond op] holds. The coordinator core's victim
+          policy lets a parked operation wound the younger ones
+          ({!Coord.tick}). Side-effect-free, no step accounting. *)
   explain : Queue_op.t -> string;
       (** Human-readable reason why [cond op] currently fails (which DS
           predicate blocks the operation), for wait-span attribution in the
-          observability layer. Side-effect-free, no step accounting; the
-          result is unspecified when [cond op] holds. *)
+          observability layer; a [Ser]'s reason names its [blockers].
+          Side-effect-free, no step accounting; the result is unspecified
+          when [cond op] holds. *)
 }
 
 val pp_effect : Format.formatter -> effect_ -> unit

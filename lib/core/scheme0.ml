@@ -49,16 +49,19 @@ let make () =
     | Queue_op.Ack (_, site) -> [ Scheme.Wake_ser_at site ]
     | Queue_op.Init _ | Queue_op.Ser _ | Queue_op.Fin _ -> []
   in
-  let explain op =
-    match op with
+  let blockers = function
     | Queue_op.Ser (gid, site) -> (
-        let q = site_queue state site in
-        match Queue.peek_opt q with
-        | Some head when head <> gid ->
-            Printf.sprintf "behind G%d in site-%d FIFO (depth %d)" head site
-              (Queue.length q)
-        | Some _ | None -> "ready")
-    | Queue_op.Init _ | Queue_op.Ack _ | Queue_op.Fin _ -> "ready"
+        match Option.bind (Hashtbl.find_opt state.queues site) Queue.peek_opt with
+        | Some head when head <> gid -> [ head ]
+        | Some _ | None -> [])
+    | Queue_op.Init _ | Queue_op.Ack _ | Queue_op.Fin _ -> []
+  in
+  let explain op =
+    match (op, blockers op) with
+    | Queue_op.Ser (_, site), head :: _ ->
+        Printf.sprintf "behind G%d in site-%d FIFO (depth %d)" head site
+          (Queue.length (site_queue state site))
+    | _ -> "ready"
   in
   let describe () =
     Hashtbl.fold
@@ -75,5 +78,6 @@ let make () =
     wakeups;
     steps = (fun () -> state.steps);
     describe;
+    blockers;
     explain;
   }

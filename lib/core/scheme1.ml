@@ -127,24 +127,31 @@ let make ?(mark_policy = Mark_on_cycle) () =
     | Queue_op.Fin _ -> [ Scheme.Wake_fins ]
     | Queue_op.Init _ | Queue_op.Ser _ -> []
   in
+  let blockers = function
+    | Queue_op.Ser (gid, site) -> (
+        match Hashtbl.find_opt state.outstanding site with
+        | Some other -> [ other ]
+        | None when Hashtbl.mem state.marked (gid, site) -> (
+            match Dllist.peek_front (queue state.insert_q site) with
+            | Some front when front <> gid -> [ front ]
+            | Some _ | None -> [])
+        | None -> [])
+    | Queue_op.Init _ | Queue_op.Ack _ | Queue_op.Fin _ -> []
+  in
   let explain op =
     match op with
     | Queue_op.Ser (gid, site) -> (
-        match Hashtbl.find_opt state.outstanding site with
-        | Some other ->
+        match (blockers op, Hashtbl.mem state.outstanding site) with
+        | [ other ], true ->
             Printf.sprintf "site %d has outstanding ser(G%d) awaiting ack" site
               other
-        | None ->
+        | [ front ], false ->
+            Printf.sprintf
+              "marked (edge on TSG cycle): behind G%d in site-%d insert queue"
+              front site
+        | _ ->
             if Hashtbl.mem state.marked (gid, site) then
-              match
-                Dllist.peek_front (queue state.insert_q site)
-              with
-              | Some front when front <> gid ->
-                  Printf.sprintf
-                    "marked (edge on TSG cycle): behind G%d in site-%d \
-                     insert queue"
-                    front site
-              | Some _ | None -> "marked (edge on TSG cycle)"
+              "marked (edge on TSG cycle)"
             else "ready")
     | Queue_op.Fin gid -> (
         let sites =
@@ -180,5 +187,6 @@ let make ?(mark_policy = Mark_on_cycle) () =
     wakeups;
     steps = (fun () -> state.steps);
     describe;
+    blockers;
     explain;
   }

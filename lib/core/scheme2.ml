@@ -78,22 +78,24 @@ let make_with_tsgd () =
     | Queue_op.Fin _ -> [ Scheme.Wake_fins ]
     | Queue_op.Init _ | Queue_op.Ser _ -> []
   in
+  let blockers = function
+    | Queue_op.Ser (gid, site) ->
+        Iset.elements
+          (Iset.filter
+             (fun source -> not (Hashtbl.mem state.acked (source, site)))
+             (Tsgd.deps_into state.tsgd gid site))
+    | Queue_op.Init _ | Queue_op.Ack _ | Queue_op.Fin _ -> []
+  in
   let explain op =
     match op with
-    | Queue_op.Ser (gid, site) ->
-        let unacked =
-          Iset.filter
-            (fun source -> not (Hashtbl.mem state.acked (source, site)))
-            (Tsgd.deps_into state.tsgd gid site)
-        in
-        if Iset.is_empty unacked then "ready"
-        else
-          Printf.sprintf "waiting for ack of dependencies {%s} at site %d"
-            (String.concat ","
-               (List.map
-                  (fun g -> Printf.sprintf "G%d" g)
-                  (Iset.elements unacked)))
-            site
+    | Queue_op.Ser (_, site) -> (
+        match blockers op with
+        | [] -> "ready"
+        | unacked ->
+            Printf.sprintf "waiting for ack of dependencies {%s} at site %d"
+              (String.concat ","
+                 (List.map (fun g -> Printf.sprintf "G%d" g) unacked))
+              site)
     | Queue_op.Fin gid ->
         if Tsgd.has_incoming_dep state.tsgd gid then
           "fin blocked: incoming TSGD dependency not yet discharged"
@@ -113,6 +115,7 @@ let make_with_tsgd () =
       wakeups;
       steps = (fun () -> state.steps);
       describe;
+      blockers;
       explain;
     },
     state.tsgd )

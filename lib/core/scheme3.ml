@@ -121,26 +121,30 @@ let make () =
     | Queue_op.Fin _ -> [ Scheme.Wake_fins ]
     | Queue_op.Init _ | Queue_op.Ser _ -> []
   in
+  (* The predecessors still pending here (never [last_k], which left
+     [set_k] when it serialized), then an unacknowledged [last_k]. *)
+  let blockers = function
+    | Queue_op.Ser (gid, site) ->
+        Iset.elements (Iset.inter !(ser_bef gid) !(set_k site))
+        @ (match Hashtbl.find_opt state.last_k site with
+          | Some last when not (Hashtbl.mem state.acked (last, site)) -> [ last ]
+          | Some _ | None -> [])
+    | Queue_op.Init _ | Queue_op.Ack _ | Queue_op.Fin _ -> []
+  in
   let explain op =
     match op with
-    | Queue_op.Ser (gid, site) ->
+    | Queue_op.Ser (_, site) -> (
         let pending = !(set_k site) in
-        let predecessors = !(ser_bef gid) in
-        let blockers = Iset.inter predecessors pending in
-        if not (Iset.is_empty blockers) then
-          Printf.sprintf
-            "serialized-before predecessors {%s} still pending at site %d"
-            (String.concat ","
-               (List.map
-                  (fun g -> Printf.sprintf "G%d" g)
-                  (Iset.elements blockers)))
-            site
-        else (
-          match Hashtbl.find_opt state.last_k site with
-          | Some last when not (Hashtbl.mem state.acked (last, site)) ->
-              Printf.sprintf "previous ser(G%d) at site %d not yet acked" last
-                site
-          | Some _ | None -> "ready")
+        match List.partition (fun g -> Iset.mem g pending) (blockers op) with
+        | (_ :: _ as predecessors), _ ->
+            Printf.sprintf
+              "serialized-before predecessors {%s} still pending at site %d"
+              (String.concat ","
+                 (List.map (fun g -> Printf.sprintf "G%d" g) predecessors))
+              site
+        | [], last :: _ ->
+            Printf.sprintf "previous ser(G%d) at site %d not yet acked" last site
+        | [], [] -> "ready")
     | Queue_op.Fin gid ->
         let before = !(ser_bef gid) in
         if Iset.is_empty before then "ready"
@@ -162,5 +166,6 @@ let make () =
     wakeups;
     steps = (fun () -> state.steps);
     describe;
+    blockers;
     explain;
   }

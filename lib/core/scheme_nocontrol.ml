@@ -51,5 +51,6 @@ let make () =
     wakeups;
     steps = (fun () -> state.steps);
     describe;
+    blockers = (fun _ -> []);
     explain;
   }

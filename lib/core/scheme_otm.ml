@@ -153,5 +153,6 @@ let make () =
     wakeups;
     steps = (fun () -> state.steps);
     describe;
+    blockers = (fun _ -> []);
     explain;
   }

@@ -1,9 +1,11 @@
 open Mdbs_model
 
+type place = Site of Types.sid | Gtm2 of Types.gid list Lazy.t
+
 type waiter = {
   w_gid : Types.gid;
   w_birth : int;
-  w_site : Types.sid;
+  w_at : place;
   w_since : float;
   w_wounded : int list;
 }
@@ -35,9 +37,15 @@ let oldest_first ws =
 let decide ~now ~wound_after_ms ~deadline_ms ~waiters ~residents =
   let expired cutoff_ms w = now -. w.w_since >= cutoff_ms in
   (* Age-priority pass: the oldest waiter whose wound window elapsed wounds
-     the youngest strictly-younger transaction holding state at the site it
-     is blocked inside. The wounder is by construction older than its
-     victim, so the oldest member of any conflict set is never the victim. *)
+     the youngest strictly-younger transaction it waits for: one holding
+     state at the site it is blocked inside, or one its parked operation's
+     scheme names. The wounder is by construction older than its victim,
+     so the oldest member of any conflict set is never the victim. *)
+  let waits_for w r =
+    match w.w_at with
+    | Site s -> List.mem s r.r_sites
+    | Gtm2 blockers -> List.mem r.r_gid (Lazy.force blockers)
+  in
   let rec wound_pass = function
     | [] -> None
     | w :: rest -> (
@@ -46,8 +54,8 @@ let decide ~now ~wound_after_ms ~deadline_ms ~waiters ~residents =
             (fun r ->
               r.r_gid <> w.w_gid
               && older w.w_birth w.w_gid r.r_birth r.r_gid
-              && List.mem w.w_site r.r_sites
-              && not (List.mem r.r_birth w.w_wounded))
+              && (not (List.mem r.r_birth w.w_wounded))
+              && waits_for w r)
             residents
         in
         match candidates with
@@ -65,17 +73,20 @@ let decide ~now ~wound_after_ms ~deadline_ms ~waiters ~residents =
   match wound_pass (oldest_first (List.filter (expired wound_after_ms) waiters)) with
   | Some d -> d
   | None ->
-      (* Bounded wait: some waiter is past the hard deadline with no
+      (* Bounded wait: some site waiter is past the hard deadline with no
          younger conflicting resident to wound anywhere — an undetectable
          stall (blocked behind an older global or a local transaction the
-         GTM cannot see). Kill the youngest waiter {e past the deadline}:
-         among two or more of them the oldest survives, and a waiter that
-         arrived later, queued behind the stalled one, frees nothing it
-         needs — its retry would only take its place. The set past the
-         deadline shrinks every tick the breach persists, so the wait is
-         still bounded. *)
+         GTM cannot see). Kill the youngest site waiter {e past the
+         deadline}: among two or more of them the oldest survives, and a
+         waiter that arrived later, queued behind the stalled one, frees
+         nothing it needs — its retry would only take its place. The set
+         past the deadline shrinks every tick the breach persists, so the
+         wait is still bounded. A parked waiter is only slow: no victim. *)
+      let at_site w = match w.w_at with Site _ -> true | Gtm2 _ -> false in
       match
-        List.rev (oldest_first (List.filter (expired deadline_ms) waiters))
+        List.rev
+          (oldest_first
+             (List.filter (fun w -> at_site w && expired deadline_ms w) waiters))
       with
       | [] -> No_kill
       | w :: _ -> Timeout w.w_gid

@@ -461,7 +461,7 @@ let gtm2 sim ops =
 
 let new_coord sim =
   Coord.create
-    ~wait_set:(fun () -> List.map Mdbs_core.Queue_op.gid (Engine.wait_set sim.engine))
+    ~blockers:(fun op -> (Engine.scheme sim.engine).Scheme.blockers op)
     ~atomic:sim.config.atomic_commit
     ~protocol_of:(fun sid -> Local_dbms.protocol_kind (site sim sid))
     ~gtm2:(gtm2 sim) ~perform:(perform sim) ()

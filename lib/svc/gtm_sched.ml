@@ -28,8 +28,6 @@ let stalled t =
         (fun op -> (Queue_op.to_string op, scheme.Scheme.explain op))
         (Engine.wait_set e))
 
-let wait_gids t =
-  locked t (fun e ->
-      List.sort_uniq compare (List.map Queue_op.gid (Engine.wait_set e)))
+let blockers t op = locked t (fun e -> (Engine.scheme e).Scheme.blockers op)
 
 let with_engine t f = locked t f

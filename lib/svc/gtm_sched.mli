@@ -6,9 +6,9 @@
     every engine call behind this lock — the scheduler itself is the
     paper's, verbatim, and the certifier later checks that what the
     parallel runtime released really was serializable. The GTM domain is
-    the only caller of {!run_ops}; monitoring threads use
-    {!stalled}/{!wait_gids} concurrently (same lock), reusing each scheme's
-    [explain] for live stall attribution. *)
+    the only caller of {!run_ops}, and of {!blockers} (its victim policy);
+    monitoring threads use {!stalled} concurrently (same lock), reusing
+    each scheme's [explain] for live stall attribution. *)
 
 type t
 
@@ -20,19 +20,18 @@ val run_ops : t -> Mdbs_core.Queue_op.t list -> Mdbs_core.Scheme.effect_ list
     return the effects. This is the batched pump's hot path: the critical
     section is a pure state transition (scheme bookkeeping only); the
     returned effects — site dispatches, acks, aborts — are executed by
-    the caller {e outside} the lock, so monitoring threads
-    ({!stalled}/{!wait_gids}) are never blocked behind I/O or mailbox
-    traffic. *)
+    the caller {e outside} the lock, so monitoring threads ({!stalled})
+    are never blocked behind I/O or mailbox traffic. *)
 
 val stalled : t -> (string * string) list
 (** Snapshot of the WAIT set with reasons: [(op, explain op)] for every
     parked operation — live stall attribution from any thread. *)
 
-val wait_gids : t -> Mdbs_model.Types.gid list
-(** Distinct transactions with an operation parked in GTM2's WAIT set
-    (sorted). The stall detector's safety valve prefers its victim among
-    these — a transaction the {e scheme} is delaying — over an arbitrary
-    active one. *)
+val blockers : t -> Mdbs_core.Queue_op.t -> Mdbs_model.Types.gid list
+(** The scheme's blockers of a parked operation, under the lock
+    ({!Mdbs_core.Scheme.t}[.blockers]). The coordinator core's victim
+    policy asks it only for a serialization operation parked past its
+    wound window, so a tick takes the lock only then. *)
 
 val with_engine : t -> (Mdbs_core.Engine.t -> 'a) -> 'a
 (** Run [f] on the underlying engine under the lock (metrics reads:

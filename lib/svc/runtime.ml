@@ -588,7 +588,7 @@ let gtm_loop sh worker_of =
   in
   g.coord <-
     Coord.create ~wound_after_ms:sh.cfg_wound_ms ~deadline_ms:sh.cfg_stall_ms
-      ~wait_set:(fun () -> Gtm_sched.wait_gids sh.sched)
+      ~blockers:(Gtm_sched.blockers sh.sched)
       ~atomic:sh.cfg_atomic ~protocol_of ~gtm2:(gtm2 sh) ~perform:(perform g) ();
   let done_ () =
     Atomic.get sh.draining

@@ -338,7 +338,7 @@ let recording_coord ?(atomic = false) protocol_of =
   let engine = Engine.create (Registry.make Registry.S3) in
   let coord =
     Coord.create ~atomic ~protocol_of
-      ~wait_set:(fun () -> List.map Queue_op.gid (Engine.wait_set engine))
+      ~blockers:(fun op -> (Engine.scheme engine).Mdbs_core.Scheme.blockers op)
       ~gtm2:(fun ops ->
         Engine.enqueue_all engine ops;
         Engine.run engine)
@@ -471,16 +471,14 @@ let coord_decided_commit_is_final () =
         (Coord.kill coord 1 "test"))
     [ true; false ]
 
-(* The cycle the victim policy breaks only at the deadline. Scheme 3, site
-   0 runs 2PL and site 1 TO. V's Begin at site 1 (its serialization
-   operation there) executes before O's, which puts V in ser_bef(O). O,
-   the older, holds x at site 0, so V's write of x blocks there; O's
-   serialization operation at site 0 (its Commit) then parks in GTM2's
-   WAIT set behind V's pending one. V may not wound O, which is older, and
-   O is parked in GTM2, not blocked at a site, so it wounds nobody: V dies
-   at the deadline, and O commits. A rule that lets a parked serialization
-   operation wound the younger blocker it waits for (ROADMAP.md) would
-   turn this into a wound inside the wound window. *)
+(* The cycle §3 warns of, which no site sees. Scheme 3, site 0 runs 2PL
+   and site 1 TO. V's Begin at site 1 (its serialization operation there)
+   executes before O's, which puts V in ser_bef(O). O, the older, holds x
+   at site 0, so V's write of x blocks there; O's serialization operation
+   at site 0 (its Commit) then parks in GTM2's WAIT set behind V's pending
+   one. V may not wound O, which is older. O, parked, wounds the younger
+   blocker its scheme names: V dies at the first tick past O's wound
+   window, long before the deadline, and O commits. *)
 let coord_parked_cycle () =
   let x = Item.Key 0 and y = Item.Key 1 and z = Item.Key 2 in
   let o = Txn.global ~id:1 [ (0, [ Op.Write (x, 1) ]); (1, [ Op.Write (y, 1) ]) ] in
@@ -538,9 +536,11 @@ let coord_parked_cycle () =
     | verdict -> (now, verdict)
   in
   let at, verdict = tick Coord.default_tick_ms in
-  check_bool "no kill before the deadline" true (at >= Coord.default_deadline_ms);
+  (* The first tick (5 ms) stamps O's park; its window ends 20 ms later. *)
+  Alcotest.(check (float 0.)) "at the first tick past O's wound window"
+    (Coord.default_tick_ms +. Coord.default_wound_ms) at;
   (match verdict with
-  | Some { Coord.victim = 2; reason = "stall-deadline"; wounder = None } -> ()
+  | Some { Coord.victim = 2; reason = "wound"; wounder = Some 1 } -> ()
   | Some { Coord.victim; reason; _ } -> Alcotest.failf "G%d killed by %s" victim reason
   | None -> Alcotest.fail "nothing killed");
   ignore (Coord.pump coord);
@@ -550,7 +550,7 @@ let coord_parked_cycle () =
     ignore (answer 1 Coord.Done)
   done;
   Alcotest.(check (list (pair int string))) "outcomes"
-    [ (2, "aborted stall-deadline"); (1, "committed") ]
+    [ (2, "aborted wound"); (1, "committed") ]
     (List.map
        (fun (gid, outcome) ->
          ( gid,
@@ -558,6 +558,28 @@ let coord_parked_cycle () =
            | Coord.Committed -> "committed"
            | Coord.Aborted r -> "aborted " ^ r ))
        (finishes !seen))
+
+(* A step that is only slow at a site is no deadlock: its answer will come,
+   and killing its global frees nothing. The global's Begin stays out past
+   the deadline, no policy kill lands, and it commits once answered. *)
+let coord_in_flight_not_a_victim () =
+  let coord, take = recording_coord (fun _ -> Types.Two_phase_locking) in
+  Coord.admit coord (two_site_txn 1);
+  ignore (Coord.pump coord);
+  let pc = first_begin_at 0 (take ()) in
+  let now = ref 0. in
+  while !now < 300. do
+    now := !now +. Coord.default_tick_ms;
+    match Coord.tick coord ~now:!now with
+    | None -> ()
+    | Some { Coord.victim; reason; _ } ->
+        Alcotest.failf "G%d killed by %s at %.0f ms" victim reason !now
+  done;
+  ignore (Coord.reply coord 1 ~pc Coord.Done);
+  let rest = play coord take 1 ~stop:(fun es -> finishes es <> []) in
+  match finishes rest with
+  | [ (1, Coord.Committed) ] -> ()
+  | _ -> Alcotest.fail "expected the global to commit"
 
 let () =
   Alcotest.run "mdbs-gtm"
@@ -591,5 +613,7 @@ let () =
             coord_crash_elsewhere_frees_block;
           Alcotest.test_case "decided-commit-is-final" `Quick coord_decided_commit_is_final;
           Alcotest.test_case "parked-cycle" `Quick coord_parked_cycle;
+          Alcotest.test_case "in-flight-not-a-victim" `Quick
+            coord_in_flight_not_a_victim;
         ] );
     ]

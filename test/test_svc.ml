@@ -352,45 +352,61 @@ let retry_delay_bounds () =
   check_bool "off never sleeps" true
     (Retry.delay_ms Retry.off (Rng.create 1) ~attempt:1 ~shed:true = 0.)
 
-(* QCheck: on a conflict cycle of n >= 2 blocked globals (every member both
-   waits at a site and holds state at sites, ring-shaped so each blocks its
-   neighbor), the wound-wait policy never picks the oldest member as the
-   victim — under arbitrary births, sites, wait clocks and bystander
-   residents. Wounds must also respect age priority outright: the victim is
-   strictly younger than its wounder. *)
+(* QCheck: on a conflict cycle of n >= 2 waiting globals (ring-shaped, so
+   each waits for its predecessor), the wound-wait policy never picks the
+   oldest member as the victim — under arbitrary births, sites, wait
+   clocks, bystander residents, and members that are blocked at a site
+   (they wait for every resident there) or parked in GTM2 (they wait for
+   the blockers their scheme names). Wounds must also respect age
+   priority outright: the victim is strictly younger than its wounder.
+   The deadline never kills a parked member. *)
 let wound_cycle_gen =
   QCheck.Gen.(
     let* n = int_range 2 8 in
     let* births = list_repeat n (int_bound 50) in
     let* sites = list_repeat n (int_bound 3) in
     let* waits = list_repeat n (float_bound_inclusive 400.) in
+    let* parked = list_repeat n bool in
     let* extras = list_size (int_bound 4) (pair (int_bound 50) (int_bound 3)) in
-    return (births, sites, waits, extras))
+    return (births, sites, waits, parked, extras))
 
 let wound_cycle_arb =
   QCheck.make
-    ~print:(fun (births, sites, waits, extras) ->
-      Printf.sprintf "births=[%s] sites=[%s] waits=[%s] extras=%d"
+    ~print:(fun (births, sites, waits, parked, extras) ->
+      Printf.sprintf "births=[%s] sites=[%s] waits=[%s] parked=[%s] extras=%d"
         (String.concat ";" (List.map string_of_int births))
         (String.concat ";" (List.map string_of_int sites))
         (String.concat ";" (List.map (Printf.sprintf "%.0f") waits))
+        (String.concat ";" (List.map string_of_bool parked))
         (List.length extras))
     wound_cycle_gen
 
 let wound_never_kills_oldest =
   QCheck.Test.make ~name:"wound-wait never kills the oldest of a cycle"
-    ~count:500 wound_cycle_arb
-    (fun (births, sites, waits, extras) ->
+    ~count:2000 wound_cycle_arb
+    (fun (births, sites, waits, parked, extras) ->
       let n = List.length births in
       let now = 1000. in
       let nth = List.nth in
+      (* A parked member's scheme names its predecessor and the bystanders
+         at its site. *)
+      let named i =
+        ((i + n - 1) mod n)
+        :: List.concat
+             (List.mapi
+                (fun j (_, s) -> if s = nth sites i then [ n + j ] else [])
+                extras)
+      in
       let waiters =
         List.init n (fun i ->
-            { Wound.w_gid = i; w_birth = nth births i; w_site = nth sites i;
+            { Wound.w_gid = i; w_birth = nth births i;
+              w_at =
+                (if nth parked i then Wound.Gtm2 (lazy (named i))
+                 else Wound.Site (nth sites i));
               w_since = now -. nth waits i; w_wounded = [] })
       in
       (* Ring residency: member i holds state at its own blocked site and at
-         its successor's, so every waiter has a conflicting resident. *)
+         its successor's, so every site waiter has a conflicting resident. *)
       let cycle_residents =
         List.init n (fun i ->
             { Wound.r_gid = i; r_birth = nth births i;
@@ -420,7 +436,7 @@ let wound_never_kills_oldest =
           ~residents:(cycle_residents @ extra_residents)
       with
       | Wound.No_kill -> true
-      | Wound.Timeout victim -> victim <> oldest
+      | Wound.Timeout victim -> victim <> oldest && not (nth parked victim)
       | Wound.Wound { wounder; victim } ->
           victim <> oldest
           && Wound.older (birth_of wounder) wounder (birth_of victim) victim)
@@ -680,6 +696,60 @@ let deadline_spares_later_arrivals () =
   check_int "force_aborts counts every policy kill"
     (st.Runtime.wounds + st.Runtime.stall_kills)
     st.Runtime.force_aborts;
+  check_bool "certified" true res.Runtime.certified
+
+(* The GTM2-park cycle of test_gtm's coord/parked-cycle, on the service.
+   Scheme 3, site 0 runs 2PL and site 1 TO. V, the younger, is submitted
+   first: its Begin at site 1 serializes it before O there, and its write
+   of z at site 1 is held until O, admitted behind it, has written x at
+   site 0. Released, V blocks on x behind O at site 0, while O's Commit
+   there parks in GTM2 behind V's pending one. V may not wound O, and no
+   site sees the cycle: O, parked past its wound window, must wound V. The
+   deadline is far out, so only that wound ends V quickly. *)
+let parked_wounds_blocker () =
+  let x = Item.Key 0 and y = Item.Key 1 and z = Item.Key 2 in
+  let o = Txn.global ~id:1 [ (0, [ Op.Write (x, 1) ]); (1, [ Op.Write (y, 1) ]) ] in
+  let v = Txn.global ~id:2 [ (1, [ Op.Write (z, 2) ]); (0, [ Op.Write (x, 2) ]) ] in
+  let sites =
+    Workload.make_sites
+      { (wl 2) with
+        Workload.protocols = [ Types.Two_phase_locking; Types.Timestamp_ordering ] }
+  in
+  let held = Atomic.make false
+  and o_wrote = Atomic.make false
+  and release = Atomic.make false in
+  Local_dbms.set_op_tap (List.nth sites 1) (fun t action ->
+      if t = v.Txn.id && action = Op.Write (z, 2) then begin
+        Atomic.set held true;
+        while not (Atomic.get release) do
+          Unix.sleepf 0.001
+        done
+      end);
+  Local_dbms.set_op_tap (List.nth sites 0) (fun t action ->
+      if t = o.Txn.id && action = Op.Write (x, 1) then Atomic.set o_wrote true);
+  let deadline_ms = 2000. in
+  let rt =
+    Runtime.start
+      (Runtime.config ~scheme:(Registry.make Registry.S3) ~sites ~tick_ms:2.
+         ~stall_timeout_ms:deadline_ms ())
+  in
+  let p_v = Runtime.submit_global rt v in
+  wait_for release "V held at site 1" (fun () -> Atomic.get held);
+  let p_o = Runtime.submit_global rt o in
+  wait_for release "O's write of x" (fun () -> Atomic.get o_wrote);
+  let released = Unix.gettimeofday () in
+  Atomic.set release true;
+  let v_out = Promise.await p_v in
+  let waited_ms = (Unix.gettimeofday () -. released) *. 1000. in
+  Alcotest.(check string) "V wounded" "aborted: wound" (Outcome.to_string v_out);
+  check_bool
+    (Printf.sprintf "well inside the deadline (%.0f ms)" waited_ms)
+    true
+    (waited_ms < deadline_ms /. 4.);
+  check_bool "O committed" true (Promise.await p_o = Outcome.Committed);
+  let res = Runtime.shutdown rt in
+  check_int "one wound" 1 res.Runtime.run_stats.Runtime.wounds;
+  check_int "no stall kill" 0 res.Runtime.run_stats.Runtime.stall_kills;
   check_bool "certified" true res.Runtime.certified
 
 (* Admission shedding: a burst far beyond max_active with a parked bound of
@@ -1049,6 +1119,8 @@ let () =
         :: Alcotest.test_case "wound-once-per-wait" `Quick wound_once_per_wait
         :: Alcotest.test_case "deadline-spares-later-arrivals" `Quick
              deadline_spares_later_arrivals
+        :: Alcotest.test_case "parked-wounds-blocker" `Quick
+             parked_wounds_blocker
         :: Alcotest.test_case "shed-burst" `Quick shed_under_burst
         :: Alcotest.test_case "duplicate-admission" `Quick
              duplicate_admission_refused
